@@ -13,9 +13,7 @@ use std::time::Duration;
 use sufsat_bench::microbench::Runner;
 use sufsat_bench::{run, Method};
 use sufsat_core::{decide, CnfMode, DecideOptions, EncodingMode};
-use sufsat_encode::{
-    encode, generate_transitivity_ordered, BoundTable, Circuit, ElimOrder, EncodeOptions,
-};
+use sufsat_encode::{encode, EncodeOptions};
 use sufsat_seplog::SepAnalysis;
 use sufsat_suf::eliminate;
 use sufsat_workloads::{ooo_invariant, pipeline, translation_validation};
@@ -74,7 +72,7 @@ fn bench_cnf_ablation(r: &Runner) {
 }
 
 /// Ablation: positive equality on/off — treating every constant as `V_g`
-/// (DESIGN.md §8.3). "Off" forces the analysis to drop `V_p`.
+/// (DESIGN.md §8.2). "Off" forces the analysis to drop `V_p`.
 fn bench_peq_ablation(r: &Runner) {
     for keep_p in [true, false] {
         let label = if keep_p {
@@ -101,42 +99,10 @@ fn bench_peq_ablation(r: &Runner) {
     }
 }
 
-/// Ablation: elimination order for transitivity generation
-/// (DESIGN.md §8.2).
-fn bench_elim_order(r: &Runner) {
-    // A dense difference-constraint class extracted from the invariant
-    // family's shape.
-    let mut tm = sufsat_suf::TermManager::new();
-    let vars: Vec<sufsat_suf::VarSym> = (0..10).map(|i| tm.int_var_sym(&format!("v{i}"))).collect();
-    for order in [ElimOrder::MinDegree, ElimOrder::InputOrder] {
-        r.bench(&format!("trans/elim-order/{order:?}"), || {
-            let mut circuit = Circuit::new();
-            let mut table = BoundTable::new();
-            for i in 0..vars.len() {
-                for j in i + 1..vars.len() {
-                    table.bound(&mut circuit, vars[i], vars[j], (i % 3) as i64 - 1);
-                }
-            }
-            let clauses = generate_transitivity_ordered(
-                &mut circuit,
-                &mut table,
-                &vars,
-                10_000_000,
-                None,
-                None,
-                order,
-            )
-            .expect("budget");
-            clauses.len()
-        });
-    }
-}
-
 fn main() {
     let runner = Runner::from_env();
     bench_encode_modes(&runner);
     bench_end_to_end(&runner);
     bench_cnf_ablation(&runner);
     bench_peq_ablation(&runner);
-    bench_elim_order(&runner);
 }

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the CDCL SAT solver substrate, including the
-//! heuristic ablations called out in DESIGN.md (§8.4).
+//! heuristic ablations called out in DESIGN.md (§8.3).
 //!
 //! Runs in smoke mode by default; set `SUFSAT_BENCH_FULL=1` for timed
 //! statistics (see `sufsat_bench::microbench`).
@@ -80,7 +80,7 @@ fn bench_random_3sat(r: &Runner) {
     }
 }
 
-/// Ablation: phase saving / restarts / DB reduction on-off (DESIGN.md §8.4).
+/// Ablation: phase saving / restarts / DB reduction on-off (DESIGN.md §8.3).
 fn bench_sat_ablation(r: &Runner) {
     let variants: Vec<(&str, Config)> = vec![
         ("default", Config::default()),

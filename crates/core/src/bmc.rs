@@ -34,6 +34,46 @@ pub struct TransitionSystem {
     pub property: TermId,
 }
 
+impl TransitionSystem {
+    /// Checks the system's shape before unrolling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` and `next` lengths differ, a state/input term is
+    /// not integer-sorted, or `init`/`property` are not Boolean.
+    pub fn assert_well_formed(&self, tm: &TermManager) {
+        assert_eq!(self.state.len(), self.next.len(), "state and next must align");
+        for &s in self.state.iter().chain(&self.inputs) {
+            assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
+        }
+        assert_eq!(tm.sort(self.init), Sort::Bool, "init must be Boolean");
+        assert_eq!(tm.sort(self.property), Sort::Bool, "property must be Boolean");
+    }
+
+    /// The symbolic state at step 0: each state variable is itself.
+    pub fn initial_state(&self) -> HashMap<TermId, TermId> {
+        self.state.iter().map(|&s| (s, s)).collect()
+    }
+
+    /// Advances `current` from `step` to `step + 1`:
+    /// `s_{k+1} = next(s_k, fresh inputs)`.
+    pub fn advance(
+        &self,
+        tm: &mut TermManager,
+        current: &mut HashMap<TermId, TermId>,
+        step: usize,
+    ) {
+        let next_state: Vec<TermId> = self
+            .next
+            .iter()
+            .map(|&n| substitute_state(tm, n, self, current, step))
+            .collect();
+        for (s, n) in self.state.iter().zip(next_state) {
+            current.insert(*s, n);
+        }
+    }
+}
+
 /// Result of a bounded check.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BmcResult {
@@ -112,24 +152,9 @@ pub fn check_bounded_with_stats(
     bound: usize,
     options: &DecideOptions,
 ) -> (BmcResult, DecideStats) {
-    assert_eq!(
-        system.state.len(),
-        system.next.len(),
-        "state and next must align"
-    );
-    for &s in system.state.iter().chain(&system.inputs) {
-        assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
-    }
-    assert_eq!(tm.sort(system.init), Sort::Bool, "init must be Boolean");
-    assert_eq!(
-        tm.sort(system.property),
-        Sort::Bool,
-        "property must be Boolean"
-    );
-
-    // Current symbolic value of each state variable (step 0: itself).
-    let mut current: HashMap<TermId, TermId> =
-        system.state.iter().map(|&s| (s, s)).collect();
+    system.assert_well_formed(tm);
+    // Current symbolic value of each state variable.
+    let mut current = system.initial_state();
     let mut total = DecideStats::default();
 
     for step in 0..=bound {
@@ -150,15 +175,7 @@ pub fn check_bounded_with_stats(
         if step == bound {
             break;
         }
-        // Advance: s_{k+1} = next(s_k, fresh inputs).
-        let next_state: Vec<TermId> = system
-            .next
-            .iter()
-            .map(|&n| substitute_state(tm, n, system, &current, step))
-            .collect();
-        for (s, n) in system.state.iter().zip(next_state) {
-            current.insert(*s, n);
-        }
+        system.advance(tm, &mut current, step);
     }
     (BmcResult::Bounded(bound), total)
 }

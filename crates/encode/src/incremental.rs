@@ -1,24 +1,31 @@
-//! Resumable encoder state for incremental sessions.
+//! The lowering of separation formulas into the shared circuit, for
+//! one-shot encodings and incremental sessions alike.
 //!
-//! [`crate::encode`] lowers one snapshot of a separation formula in a
-//! single shot. An incremental session instead asserts formulas one at a
-//! time and wants each `check()` to encode only what is new, keeping the
-//! circuit, the predicate-variable tables and the per-constant bit-vectors
-//! of earlier checks alive so the SAT solver can keep its learnt clauses.
+//! [`IncrementalEncoder`] keeps the circuit, the predicate-variable tables
+//! and the per-constant bit-vectors alive across
+//! [`IncrementalEncoder::extend`] calls and encodes only what each call
+//! adds, so a session's SAT solver can keep its learnt clauses.
+//! [`crate::encode`] is the degenerate case: a fresh encoder with one
+//! extension. The two differ only in how the encoder sizes its SD domains
+//! and `V_p` value lanes:
 //!
-//! [`IncrementalEncoder`] makes that sound by *committing* encoding
-//! decisions the first time they are taken and refusing to change them
-//! afterwards:
+//! * a one-shot encoding sizes them exactly from the analysis: the
+//!   small-model bits of each class range, the formula's offset band, and
+//!   one lane per `V_p` constant;
+//! * a session sizes them with headroom ([`VAR_BITS_HEADROOM`] extra bits,
+//!   an offset cap of `4·max|offset|+8`, spare `V_p` lanes) so that
+//!   growing classes keep fitting. A domain larger than the small-model
+//!   bound requires is still sound *and* complete.
+//!
+//! Encoding decisions are *committed* the first time they are taken and
+//! never changed afterwards:
 //!
 //! * every `V_g` constant is committed to a **domain** (a method — SD or
 //!   EIJ — plus SD sizing parameters) the first time it is encoded; later
 //!   assertions may only add members to a domain, never move a constant
 //!   between domains or change a domain's method;
 //! * the global offset shift, the `V_p` value lanes and each constant's
-//!   p/g polarity classification are committed the same way;
-//! * SD domains are sized with headroom ([`VAR_BITS_HEADROOM`] extra bits)
-//!   so that growing equivalence classes keep fitting — a domain larger
-//!   than the small-model bound requires is still sound *and* complete.
+//!   p/g polarity classification are committed the same way.
 //!
 //! When a new assertion cannot be hosted under the committed decisions
 //! (classes straddling two domains, a polarity flip, a range overflow…)
@@ -26,24 +33,22 @@
 //! and the session falls back to rebuilding encoder + solver from scratch
 //! — the sound fallback, never a silent approximation.
 //!
-//! Transitivity constraints are regenerated per live EIJ class on every
-//! extension (the generators in [`crate::trans`] are deterministic and
-//! their tables idempotent), and a session-level dedup set ensures each
-//! clause is handed to the caller exactly once. Stale clauses over
-//! predicates of retracted assertions remain loaded: transitivity clauses
-//! are universally valid, so they never affect satisfiability.
+//! Every extension regenerates the transitivity constraints of each live
+//! EIJ class over its current membership (the generator in
+//! [`crate::trans`] produces the same clause set each time, and its tables
+//! are idempotent). A session loads each clause once; stale clauses over
+//! predicates of retracted assertions remain loaded, which is sound
+//! because transitivity clauses are universally valid.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use sufsat_seplog::{AtomOp, GroundTerm, PredKey, SepAnalysis};
 use sufsat_suf::{BoolSym, Sort, Term, TermId, TermManager, VarSym};
 
 use crate::circuit::{Circuit, Signal};
-use crate::encoder::{ClassMethod, DecodeInfo, EncodeOptions, EncodingMode};
-use crate::trans::{
-    clause_key, generate_equality_transitivity, generate_transitivity, BoundTable, EqTable,
-    TransBudgetExceeded,
-};
+use crate::encoder::{class_method, ClassMethod, DecodeInfo, EncodeOptions, EncodingMode};
+use crate::trans::{generate_transitivity, BoundTable, EqTable, TransBudgetExceeded};
 
 /// Extra genuine bits given to every SD domain beyond its creating class's
 /// small-model requirement, so classes can grow (via later assertions)
@@ -90,6 +95,88 @@ impl std::fmt::Display for ReencodeReason {
     }
 }
 
+/// How an encoder sizes its SD domains and `V_p` lanes: the one
+/// difference between a one-shot encoding and a session.
+#[derive(Debug, Copy, Clone, PartialEq, Eq, Default)]
+enum Sizing {
+    /// Exactly what the analysis of the single extension needs.
+    Exact,
+    /// Room for later extensions to grow classes, offsets and `V_p`.
+    #[default]
+    Headroom,
+}
+
+/// SD sizing parameters shared by every domain, committed by the first
+/// extension.
+#[derive(Debug, Copy, Clone)]
+struct Globals {
+    /// Largest absolute leaf offset the committed state can host.
+    off_cap: i64,
+    /// Added to every `V_g` value so that negative offsets stay
+    /// representable.
+    shift: u64,
+    /// Largest offset added on top of a `V_g` value.
+    top: u64,
+    /// Spacing between consecutive `V_p` values.
+    stride: u64,
+    /// `V_p` value lanes.
+    p_lanes: usize,
+    /// Strides above a domain's `p_base` that its width must cover.
+    width_strides: u64,
+    /// Genuine bits per SD constant beyond the small-model requirement.
+    headroom: usize,
+}
+
+impl Sizing {
+    fn globals(self, analysis: &SepAnalysis) -> Globals {
+        let p_vars = analysis.p_vars.len();
+        match self {
+            Sizing::Exact => {
+                let (min_off, max_off) = analysis.ground.offset_bounds();
+                Globals {
+                    off_cap: analysis.max_abs_offset,
+                    shift: (-min_off).max(0) as u64,
+                    top: max_off.max(0) as u64,
+                    stride: (max_off - min_off + 1) as u64,
+                    p_lanes: p_vars,
+                    width_strides: p_vars as u64 + 2,
+                    headroom: 0,
+                }
+            }
+            Sizing::Headroom => {
+                let off_cap = 4 * analysis.max_abs_offset + 8;
+                let p_lanes = 2 * p_vars + 8;
+                Globals {
+                    off_cap,
+                    shift: off_cap as u64,
+                    top: off_cap as u64,
+                    stride: (2 * off_cap + 1) as u64,
+                    p_lanes,
+                    width_strides: p_lanes as u64 + 3,
+                    headroom: VAR_BITS_HEADROOM,
+                }
+            }
+        }
+    }
+}
+
+impl Globals {
+    /// A fresh domain for a class with small-model range `range`. Its
+    /// `V_g` values lie below `p_base`; the `V_p` lanes lie above.
+    fn domain(&self, method: ClassMethod, eq_only: bool, range: u64) -> Domain {
+        let var_bits = bits_for(range.max(1)) + self.headroom;
+        let p_base = (1u64 << var_bits) + self.shift + self.top;
+        let max_value = p_base + self.width_strides * self.stride + self.shift;
+        Domain {
+            method,
+            eq_only,
+            var_bits,
+            width: bits_for(max_value + 1),
+            p_base,
+        }
+    }
+}
+
 /// One committed encoding domain: a set of `V_g` constants sharing a
 /// method and (for SD) sizing parameters.
 #[derive(Debug, Clone)]
@@ -111,9 +198,10 @@ pub struct Delta {
     /// The signal of each requested root, in request order (cached or
     /// freshly encoded).
     pub roots: Vec<Signal>,
-    /// Transitivity clauses not yet handed out by earlier extends; the
-    /// caller must load them (unguarded — they are universally valid).
-    pub new_trans: Vec<Vec<Signal>>,
+    /// The transitivity clauses of every live EIJ class, regenerated in
+    /// full. They are universally valid, so the caller loads them
+    /// unguarded; clauses handed out by earlier extends recur here.
+    pub trans: Vec<Vec<Signal>>,
     /// Decode metadata scoped to the *live* classes of this extension
     /// (predicates of retracted assertions are filtered out so decoding
     /// never trips over dead, unconstrained predicate variables).
@@ -130,11 +218,6 @@ pub struct DeltaStats {
     pub new_gates: usize,
     /// Total gates in the shared circuit after it.
     pub total_gates: usize,
-    /// Transitivity clauses newly handed out.
-    pub new_trans: usize,
-    /// Transitivity clauses regenerated but already handed out earlier
-    /// (the reuse the incremental path exists for).
-    pub dedup_trans: usize,
     /// Domains created by this extension.
     pub new_domains: usize,
     /// Live classes encoded with SD.
@@ -145,9 +228,13 @@ pub struct DeltaStats {
     pub pred_vars: usize,
 }
 
-/// Monotone encoder state shared by every check of an incremental session.
+/// Monotone encoder state shared by every check of an incremental session
+/// (and, with exact sizing, by the single extension of [`crate::encode`]).
 #[derive(Debug, Default)]
 pub struct IncrementalEncoder {
+    sizing: Sizing,
+    /// Fixed by the first extension.
+    globals: Option<Globals>,
     circuit: Circuit,
     table: BoundTable,
     eq_table: EqTable,
@@ -156,10 +243,6 @@ pub struct IncrementalEncoder {
     var_domain: HashMap<VarSym, usize>,
     /// Committed p/g classification of every constant ever encoded.
     committed_pg: HashMap<VarSym, bool>,
-    /// Committed global offset cap; fixed at the first extension.
-    off_cap: Option<i64>,
-    /// Committed `V_p` lane capacity; fixed at the first extension.
-    p_lane_cap: usize,
     /// Committed `V_p` lane of each p-classified constant (grow-only).
     p_index: HashMap<VarSym, usize>,
     /// Cached signal per Boolean term.
@@ -170,23 +253,32 @@ pub struct IncrementalEncoder {
     /// Encoded bit-vectors per (term, domain) context.
     sd_term_bits: HashMap<(TermId, usize), Vec<Signal>>,
     /// EIJ path enumerations per integer term.
-    paths: HashMap<TermId, Vec<(Signal, GroundTerm)>>,
+    paths: HashMap<TermId, Arc<Vec<(Signal, GroundTerm)>>>,
     /// Input indices of SD bits for decoding.
     sd_bit_inputs: HashMap<VarSym, Vec<u32>>,
-    /// Transitivity clauses already handed out (sorted-signal keys).
-    trans_seen: HashSet<Vec<Signal>>,
-    trans_emitted: usize,
 }
 
 impl IncrementalEncoder {
-    /// An empty encoder with nothing committed yet.
+    /// An empty encoder with nothing committed yet, sized for a session.
     pub fn new() -> IncrementalEncoder {
         IncrementalEncoder::default()
+    }
+
+    /// An empty encoder sized exactly for a single extension.
+    pub(crate) fn one_shot() -> IncrementalEncoder {
+        IncrementalEncoder {
+            sizing: Sizing::Exact,
+            ..IncrementalEncoder::default()
+        }
     }
 
     /// The shared circuit (for CNF loading and model decoding).
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
+    }
+
+    pub(crate) fn into_circuit(self) -> Circuit {
+        self.circuit
     }
 
     /// Whether the cached signal of `root` exists (it was encoded by an
@@ -204,11 +296,11 @@ impl IncrementalEncoder {
     /// unusable; the caller must then rebuild encoder and solver from
     /// scratch (the sound fallback).
     pub fn check_compatible(&self, analysis: &SepAnalysis) -> Result<(), ReencodeReason> {
-        let Some(off_cap) = self.off_cap else {
+        let Some(globals) = self.globals else {
             // Nothing committed yet: the first extension fixes the globals.
             return Ok(());
         };
-        if analysis.max_abs_offset > off_cap {
+        if analysis.max_abs_offset > globals.off_cap {
             return Err(ReencodeReason::OffsetOverflow);
         }
         // Polarity commitments: every constant of the live formula must
@@ -228,7 +320,7 @@ impl IncrementalEncoder {
                 None => p_new += 1,
             }
         }
-        if self.p_index.len() + p_new > self.p_lane_cap {
+        if self.p_index.len() + p_new > globals.p_lanes {
             return Err(ReencodeReason::PLaneOverflow);
         }
         for class in &analysis.classes {
@@ -271,10 +363,11 @@ impl IncrementalEncoder {
     ///
     /// # Errors
     ///
-    /// Returns [`TransBudgetExceeded`] when transitivity regeneration
-    /// blows past `options.trans_budget`. The committed state stays
-    /// consistent (tables and circuit are monotone); a later extension
-    /// with a larger budget can pick up where this one stopped.
+    /// Returns [`TransBudgetExceeded`] when the regenerated transitivity
+    /// clauses of the live classes exceed `options.trans_budget`. The
+    /// committed state stays consistent (tables and circuit are
+    /// monotone); a later extension with a larger budget can pick up where
+    /// this one stopped.
     ///
     /// # Panics
     ///
@@ -288,23 +381,42 @@ impl IncrementalEncoder {
         roots: &[TermId],
         options: &EncodeOptions,
     ) -> Result<Delta, TransBudgetExceeded> {
-        let gates_before = self.circuit.num_gates();
         let obs_span = sufsat_obs::span_with!(
             "encode.extend",
             roots = roots.len(),
             classes = analysis.classes.len(),
             committed_domains = self.domains.len(),
         );
-
-        // First extension commits the globals: the offset cap (with
-        // headroom) and the V_p lane capacity.
-        if self.off_cap.is_none() {
-            self.off_cap = Some(4 * analysis.max_abs_offset + 8);
-            self.p_lane_cap = 2 * analysis.p_vars.len() + 8;
+        let delta = self.lower(tm, analysis, roots, options, obs_span.is_recording())?;
+        if obs_span.is_recording() {
+            sufsat_obs::event!(
+                "encode.extend.done",
+                new_gates = delta.stats.new_gates,
+                total_gates = delta.stats.total_gates,
+                trans = delta.trans.len(),
+                new_domains = delta.stats.new_domains,
+                pred_vars = delta.stats.pred_vars,
+            );
         }
-        let off_cap = self.off_cap.expect("committed above");
-        let shift = off_cap as u64;
-        let stride = (2 * off_cap + 1) as u64;
+        Ok(delta)
+    }
+
+    /// [`Self::extend`] without its span: the lowering both `extend` and
+    /// [`crate::encode`] run. `trace` enables the per-class
+    /// `encode.class` and `encode.trans` events.
+    pub(crate) fn lower(
+        &mut self,
+        tm: &TermManager,
+        analysis: &SepAnalysis,
+        roots: &[TermId],
+        options: &EncodeOptions,
+        trace: bool,
+    ) -> Result<Delta, TransBudgetExceeded> {
+        let gates_before = self.circuit.num_gates();
+        if self.globals.is_none() {
+            self.globals = Some(self.sizing.globals(analysis));
+        }
+        let globals = self.globals.expect("committed above");
 
         // Commit p/g classifications and V_p lanes (sorted for
         // deterministic lane assignment).
@@ -317,7 +429,7 @@ impl IncrementalEncoder {
         p_fresh.sort_unstable();
         for v in p_fresh {
             let lane = self.p_index.len();
-            assert!(lane < self.p_lane_cap, "V_p lane overflow not caught");
+            assert!(lane < globals.p_lanes, "V_p lane overflow not caught");
             self.p_index.insert(v, lane);
             self.committed_pg.insert(v, true);
         }
@@ -326,7 +438,7 @@ impl IncrementalEncoder {
         // classes and absorbing new members into committed ones.
         let mut new_domains = 0usize;
         let mut class_domain: Vec<usize> = Vec::with_capacity(analysis.classes.len());
-        for class in &analysis.classes {
+        for (cid, class) in analysis.classes.iter().enumerate() {
             let mut domain: Option<usize> = None;
             for &v in &class.vars {
                 if let Some(&d) = self.var_domain.get(&v) {
@@ -340,44 +452,35 @@ impl IncrementalEncoder {
             let d = match domain {
                 Some(d) => d,
                 None => {
-                    let method = match options.mode {
-                        EncodingMode::Sd => ClassMethod::Sd,
-                        EncodingMode::Eij => ClassMethod::Eij,
-                        EncodingMode::Hybrid(threshold) => {
-                            if class.sep_cnt > threshold {
-                                ClassMethod::Sd
-                            } else {
-                                ClassMethod::Eij
-                            }
-                        }
-                        EncodingMode::FixedHybrid => {
-                            let pure_eq = class
-                                .predicates
-                                .iter()
-                                .all(|p| matches!(p, PredKey::Eq(_, _, 0)));
-                            if pure_eq {
-                                ClassMethod::Eij
-                            } else {
-                                ClassMethod::Sd
-                            }
-                        }
-                    };
+                    let method = class_method(options.mode, class);
                     let eq_only = class
                         .predicates
                         .iter()
                         .all(|p| matches!(p, PredKey::Eq(..)));
-                    let var_bits = bits_for(class.range.max(1)) + VAR_BITS_HEADROOM;
-                    let g_max = (1u64 << var_bits) - 1 + shift + off_cap as u64;
-                    let p_base = g_max + 1;
-                    let max_value =
-                        p_base + (self.p_lane_cap as u64 + 2) * stride + shift + stride;
-                    self.domains.push(Domain {
-                        method,
-                        eq_only,
-                        var_bits,
-                        width: bits_for(max_value + 1),
-                        p_base,
-                    });
+                    let dom = globals.domain(method, eq_only, class.range);
+                    if trace {
+                        // The method decision (for HYBRID, the threshold it
+                        // was judged against) and the SD bit-widths that
+                        // size the small-model domain.
+                        sufsat_obs::event!(
+                            "encode.class",
+                            class = cid,
+                            method = match method {
+                                ClassMethod::Sd => "sd",
+                                ClassMethod::Eij => "eij",
+                            },
+                            sep_cnt = class.sep_cnt,
+                            threshold = match options.mode {
+                                EncodingMode::Hybrid(t) => t as i64,
+                                _ => -1,
+                            },
+                            vars = class.vars.len(),
+                            range = class.range,
+                            var_bits = dom.var_bits,
+                            width = dom.width,
+                        );
+                    }
+                    self.domains.push(dom);
                     new_domains += 1;
                     self.domains.len() - 1
                 }
@@ -390,103 +493,78 @@ impl IncrementalEncoder {
         }
 
         // Encode the new roots against the shared caches.
-        let mut ctx = ExtCtx {
+        let mut ctx = Lowering {
             enc: &mut *self,
             tm,
             analysis,
             class_domain: &class_domain,
-            shift,
-            stride,
+            shift: globals.shift,
+            stride: globals.stride,
         };
         let root_sigs: Vec<Signal> = roots.iter().map(|&r| ctx.encode_root(r)).collect();
 
-        // Regenerate transitivity for every live EIJ class and keep only
-        // clauses not yet handed out. Regeneration over the *current* full
-        // membership covers every historical predicate among the members,
-        // so each check's clause set is complete for its live classes.
-        let mut new_trans: Vec<Vec<Signal>> = Vec::new();
-        let mut dedup_trans = 0usize;
+        // Regenerate transitivity for every live EIJ class. Regeneration
+        // over the *current* full membership covers every historical
+        // predicate among the members, so each check's clause set is
+        // complete for its live classes.
+        let mut trans: Vec<Vec<Signal>> = Vec::new();
         for (cid, class) in analysis.classes.iter().enumerate() {
             let dom = &self.domains[class_domain[cid]];
             if dom.method != ClassMethod::Eij {
                 continue;
             }
-            let budget = options
-                .trans_budget
-                .saturating_sub(self.trans_emitted + new_trans.len());
-            let result = if dom.eq_only {
-                generate_equality_transitivity(
-                    &mut self.circuit,
-                    &mut self.eq_table,
-                    &class.vars,
-                    budget,
-                    options.deadline,
-                    options.cancel.as_ref(),
-                )
+            let eq_only = dom.eq_only;
+            let budget = options.trans_budget.saturating_sub(trans.len());
+            let (deadline, cancel) = (options.deadline, options.cancel.as_ref());
+            let result = if eq_only {
+                let table = &mut self.eq_table;
+                generate_transitivity(&mut self.circuit, table, &class.vars, budget, deadline, cancel)
             } else {
-                generate_transitivity(
-                    &mut self.circuit,
-                    &mut self.table,
-                    &class.vars,
-                    budget,
-                    options.deadline,
-                    options.cancel.as_ref(),
-                )
+                let table = &mut self.table;
+                generate_transitivity(&mut self.circuit, table, &class.vars, budget, deadline, cancel)
             };
             let clauses = match result {
                 Ok(clauses) => clauses,
                 Err(err) => {
                     sufsat_obs::event!(
-                        "encode.extend.abort",
+                        "encode.abort",
                         class = cid,
                         cancelled = err.cancelled,
                         timed_out = err.timed_out,
-                        generated = new_trans.len(),
+                        generated = trans.len(),
                     );
                     return Err(err);
                 }
             };
-            for clause in clauses {
-                if self.trans_seen.insert(clause_key(&clause)) {
-                    new_trans.push(clause);
-                } else {
-                    dedup_trans += 1;
-                }
+            if trace {
+                sufsat_obs::event!(
+                    "encode.trans",
+                    class = cid,
+                    clauses = clauses.len(),
+                    equality_only = eq_only,
+                );
             }
+            trans.extend(clauses);
         }
-        self.trans_emitted += new_trans.len();
 
-        let decode = self.live_decode_info(analysis, &class_domain, off_cap);
+        let decode = self.live_decode_info(analysis, &class_domain, globals.off_cap);
+        let count = |method: ClassMethod| {
+            class_domain
+                .iter()
+                .filter(|&&d| self.domains[d].method == method)
+                .count()
+        };
         let stats = DeltaStats {
             new_gates: self.circuit.num_gates() - gates_before,
             total_gates: self.circuit.num_gates(),
-            new_trans: new_trans.len(),
-            dedup_trans,
             new_domains,
-            sd_classes: class_domain
-                .iter()
-                .filter(|&&d| self.domains[d].method == ClassMethod::Sd)
-                .count(),
-            eij_classes: class_domain
-                .iter()
-                .filter(|&&d| self.domains[d].method == ClassMethod::Eij)
-                .count(),
+            sd_classes: count(ClassMethod::Sd),
+            eij_classes: count(ClassMethod::Eij),
             pred_vars: self.table.len() + self.eq_table.len(),
         };
-        if obs_span.is_recording() {
-            sufsat_obs::event!(
-                "encode.extend.done",
-                new_gates = stats.new_gates,
-                total_gates = stats.total_gates,
-                new_trans = stats.new_trans,
-                dedup_trans = stats.dedup_trans,
-                new_domains = stats.new_domains,
-                pred_vars = stats.pred_vars,
-            );
-        }
         Ok(Delta {
             roots: root_sigs,
-            new_trans,
+            trans,
             decode,
             stats,
         })
@@ -563,7 +641,9 @@ impl IncrementalEncoder {
     }
 }
 
-struct ExtCtx<'a> {
+/// One extension's view of the encoder: the live classes' domains and
+/// the committed value layout.
+struct Lowering<'a> {
     enc: &'a mut IncrementalEncoder,
     tm: &'a TermManager,
     analysis: &'a SepAnalysis,
@@ -572,7 +652,7 @@ struct ExtCtx<'a> {
     stride: u64,
 }
 
-impl ExtCtx<'_> {
+impl Lowering<'_> {
     /// Encodes (or finds cached) the signal of a Boolean root.
     fn encode_root(&mut self, root: TermId) -> Signal {
         // Bottom-up over Boolean nodes; cached nodes short-circuit whole
@@ -612,7 +692,7 @@ impl ExtCtx<'_> {
                 Term::BoolVar(b) => self.bool_var(*b),
                 Term::Eq(a, b) => self.atom(AtomOp::Eq, *a, *b),
                 Term::Lt(a, b) => self.atom(AtomOp::Lt, *a, *b),
-                Term::PApp(..) => panic!("extend requires application-free formulas"),
+                Term::PApp(..) => panic!("encoding requires an application-free formula"),
                 _ => unreachable!("integer node filtered above"),
             };
             self.enc.bool_sig.insert(id, sig);
@@ -740,9 +820,9 @@ impl ExtCtx<'_> {
         self.enc.circuit.or_many(&disjuncts)
     }
 
-    fn eij_paths(&mut self, t: TermId) -> Vec<(Signal, GroundTerm)> {
+    fn eij_paths(&mut self, t: TermId) -> Arc<Vec<(Signal, GroundTerm)>> {
         if let Some(p) = self.enc.paths.get(&t) {
-            return p.clone();
+            return Arc::clone(p);
         }
         let out: Vec<(Signal, GroundTerm)> = match self.tm.term(t).clone() {
             Term::IntVar(v) => vec![(Signal::TRUE, GroundTerm { var: v, offset: 0 })],
@@ -792,14 +872,14 @@ impl ExtCtx<'_> {
             }
             other => unreachable!("non-integer term in EIJ context: {other:?}"),
         };
-        self.enc.paths.insert(t, out.clone());
-        out
+        let paths = Arc::new(out);
+        self.enc.paths.insert(t, Arc::clone(&paths));
+        paths
     }
 
-    /// The predicate signal for `g1 ⋈ g2` — same rules as the one-shot
-    /// encoder (constants for same-variable pairs, `false` for
-    /// `V_p`-involving equalities between distinct constants, canonical
-    /// predicate variables otherwise).
+    /// The predicate signal for `g1 ⋈ g2` (paper §4 step 5): constants for
+    /// same-variable pairs, `false` for `V_p`-involving equalities between
+    /// distinct constants, canonical predicate variables otherwise.
     fn pred_signal(&mut self, op: AtomOp, g1: GroundTerm, g2: GroundTerm, eq_class: bool) -> Signal {
         if g1.var == g2.var {
             let truth = match op {
@@ -868,4 +948,20 @@ fn merge_path(
 fn bits_for(values: u64) -> usize {
     // Number of bits to represent values in [0, values).
     (64 - (values.saturating_sub(1)).leading_zeros() as usize).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bits_for_ranges() {
+        assert_eq!(bits_for(1), 1);
+        assert_eq!(bits_for(2), 1);
+        assert_eq!(bits_for(3), 2);
+        assert_eq!(bits_for(4), 2);
+        assert_eq!(bits_for(5), 3);
+        assert_eq!(bits_for(16), 4);
+        assert_eq!(bits_for(17), 5);
+    }
 }

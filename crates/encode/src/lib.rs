@@ -47,10 +47,7 @@ pub use incremental::{
 pub use encoder::{
     encode, ClassMethod, DecodeInfo, EncodeOptions, EncodeStats, Encoded, EncodingMode,
 };
-pub use trans::{
-    generate_equality_transitivity, generate_equality_transitivity_ordered, generate_transitivity,
-    generate_transitivity_ordered, BoundTable, ElimOrder, EqTable, TransBudgetExceeded,
-};
+pub use trans::{BoundTable, EqTable, TransBudgetExceeded};
 
 #[cfg(test)]
 mod tests {

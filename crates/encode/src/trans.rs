@@ -16,6 +16,10 @@
 //!   explicitly);
 //! * a composition closing a negative self-loop yields a conflict clause.
 //!
+//! Equality-only classes run the same elimination loop over [`EqTable`],
+//! the Bryant–Velev one-variable-per-equality representation; the
+//! [`TransTable`] trait holds the rules in which the two differ.
+//!
 //! The number of generated constraints can grow exponentially — this is the
 //! EIJ blow-up the paper's Figures 3 and 5 document, so the generator takes
 //! a budget and reports overflow rather than running away.
@@ -156,19 +160,7 @@ impl fmt::Display for TransBudgetExceeded {
 
 impl Error for TransBudgetExceeded {}
 
-/// Vertex elimination order for transitivity generation — a design choice
-/// DESIGN.md calls out for ablation. Min-degree approximates a good
-/// chordalization (fewer fill-in edges); input order is the naive baseline.
-#[derive(Debug, Copy, Clone, PartialEq, Eq, Default)]
-pub enum ElimOrder {
-    /// Greedy minimum-degree (default).
-    #[default]
-    MinDegree,
-    /// Symbol-index order.
-    InputOrder,
-}
-
-pub(crate) fn clause_key(clause: &[Signal]) -> Vec<Signal> {
+fn clause_key(clause: &[Signal]) -> Vec<Signal> {
     let mut k = clause.to_vec();
     k.sort_unstable();
     k
@@ -245,205 +237,128 @@ impl EqTable {
     }
 }
 
-/// Generates transitivity constraints for an equality-only class by
-/// variable elimination over equality edges:
-///
-/// * `e(x,y,c₁) ∧ e(y,z,c₂) ⇒ e(x,z,c₁+c₂)` (derived equalities created on
-///   demand, one-sided);
-/// * a composition closing a loop with nonzero offset sum is a conflict.
-///
-/// A false equality is a disequality; it needs no graph edge because any
-/// positive path forcing the same difference resolves to the *same*
-/// canonical variable, contradicting it directly.
-///
-/// # Errors
-///
-/// Returns [`TransBudgetExceeded`] past `budget` clauses.
-pub fn generate_equality_transitivity(
-    circuit: &mut Circuit,
-    table: &mut EqTable,
-    class_vars: &[VarSym],
-    budget: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-    generate_equality_transitivity_ordered(
-        circuit,
-        table,
-        class_vars,
-        budget,
-        deadline,
-        cancel,
-        ElimOrder::MinDegree,
-    )
+/// The rules that tell bound predicates from equality predicates during
+/// vertex elimination; [`generate_transitivity`] is otherwise the same
+/// loop for both.
+pub(crate) trait TransTable {
+    /// Whether derived predicates also join the graph in both
+    /// orientations. A false equality contributes no edge, so equality
+    /// edges are symmetric; a derived bound is one-sided.
+    const SYMMETRIC: bool;
+
+    /// The atom-original predicates `(x, y, c, signal)`.
+    fn originals(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_;
+
+    /// The opposite-orientation edge of a predicate: the complement bound
+    /// `y − x ≤ −c−1` under the negated literal, or the same equality
+    /// `y = x − c` under the same literal.
+    fn reverse(e: Edge) -> Edge;
+
+    /// Whether composing `ein` with `eout` is a tautology.
+    fn is_tautology(ein: Edge, eout: Edge) -> bool;
+
+    /// Whether a composition closing a self-loop of weight `w` is a
+    /// contradiction.
+    fn loop_conflicts(w: i64) -> bool;
+
+    /// The predicate for `u ⋈ v` at weight `w`, allocated on demand as a
+    /// one-sided derived predicate.
+    fn derive(&mut self, circuit: &mut Circuit, u: VarSym, v: VarSym, w: i64) -> Signal;
+
+    /// The implications `a ∧ b ⇒ c` tying a derived literal `e3` to the
+    /// composed pair `e1`, `e2`.
+    fn implications(
+        e1: Signal,
+        e2: Signal,
+        e3: Signal,
+    ) -> impl Iterator<Item = (Signal, Signal, Signal)>;
 }
 
-/// [`generate_equality_transitivity`] with an explicit elimination order.
-///
-/// # Errors
-///
-/// Returns [`TransBudgetExceeded`] past `budget` clauses or the deadline.
-pub fn generate_equality_transitivity_ordered(
-    circuit: &mut Circuit,
-    table: &mut EqTable,
-    class_vars: &[VarSym],
-    budget: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
-    order: ElimOrder,
-) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-    let members: HashSet<VarSym> = class_vars.iter().copied().collect();
-    let mut clauses: Vec<Vec<Signal>> = Vec::new();
-    let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
-    let mut edges: HashSet<Edge> = HashSet::new();
-    let mut edges_of: HashMap<VarSym, HashSet<Edge>> = HashMap::new();
-    let add_edge =
-        |e: Edge, edges: &mut HashSet<Edge>, edges_of: &mut HashMap<VarSym, HashSet<Edge>>| {
-            if edges.insert(e) {
-                edges_of.entry(e.u).or_default().insert(e);
-                edges_of.entry(e.v).or_default().insert(e);
-            }
-        };
-    // Original equalities contribute both orientations (same literal).
-    let initial: Vec<(VarSym, VarSym, i64, Signal)> = table
-        .iter_original()
-        .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
-        .collect();
-    for (x, y, c, s) in initial {
-        add_edge(
-            Edge {
-                u: x,
-                v: y,
-                w: c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
-        add_edge(
-            Edge {
-                u: y,
-                v: x,
-                w: -c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
+impl TransTable for BoundTable {
+    // Derived bounds are one-sided (`e₁ ∧ e₂ ⇒ e₃` only), which keeps the
+    // derived constants bounded by path sums.
+    const SYMMETRIC: bool = false;
+
+    fn originals(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
+        self.iter_original()
     }
 
-    let mut steps = 0usize;
-    let mut remaining: HashSet<VarSym> = members.clone();
-    while remaining.len() > 1 {
-        let m = *remaining
-            .iter()
-            .min_by_key(|v| match order {
-                ElimOrder::MinDegree => (edges_of.get(v).map_or(0, HashSet::len), v.index()),
-                ElimOrder::InputOrder => (0, v.index()),
-            })
-            .expect("non-empty");
-        let incident: Vec<Edge> = edges_of
-            .get(&m)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        let ins: Vec<Edge> = incident.iter().copied().filter(|e| e.v == m).collect();
-        let outs: Vec<Edge> = incident.iter().copied().filter(|e| e.u == m).collect();
-        for &ein in &ins {
-            for &eout in &outs {
-                if ein.lit == eout.lit && ein.u == eout.v {
-                    // An edge composed with its own reverse: offset 0 loop.
-                    continue;
-                }
-                let w = ein.w + eout.w;
-                if ein.u == eout.v {
-                    if w != 0 {
-                        // x = x + w with w != 0: contradiction.
-                        let clause = vec![!ein.lit, !eout.lit];
-                        if seen_clauses.insert(clause_key(&clause)) {
-                            clauses.push(clause);
-                        }
-                    }
-                    continue;
-                }
-                let lit3 = table.derived_equality(circuit, ein.u, eout.v, w);
-                // Bryant–Velev triangle constraints: all three rotations.
-                // Unlike bound predicates, a false equality contributes no
-                // graph edge, so each triangle must be constrained in every
-                // direction for completeness.
-                for (a, b, c) in [
-                    (ein.lit, eout.lit, lit3),
-                    (ein.lit, lit3, eout.lit),
-                    (eout.lit, lit3, ein.lit),
-                ] {
-                    if c == a || c == b {
-                        continue; // e1 ∧ e2 ⇒ e1: tautology
-                    }
-                    let clause = vec![!a, !b, c];
-                    if seen_clauses.insert(clause_key(&clause)) {
-                        clauses.push(clause);
-                    }
-                }
-                // Derived equality: both orientations, same literal.
-                add_edge(
-                    Edge {
-                        u: ein.u,
-                        v: eout.v,
-                        w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
-                add_edge(
-                    Edge {
-                        u: eout.v,
-                        v: ein.u,
-                        w: -w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
-                if clauses.len() > budget {
-                    return Err(TransBudgetExceeded {
-                        generated: clauses.len(),
-                        budget,
-                        timed_out: false,
-                        cancelled: false,
-                    });
-                }
-                steps += 1;
-                if steps.is_multiple_of(4096) {
-                    let timed_out = deadline.is_some_and(|d| Instant::now() >= d);
-                    let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-                    if timed_out || cancelled {
-                        return Err(TransBudgetExceeded {
-                            generated: clauses.len(),
-                            budget,
-                            timed_out,
-                            cancelled,
-                        });
-                    }
-                }
-            }
+    fn reverse(e: Edge) -> Edge {
+        Edge {
+            u: e.v,
+            v: e.u,
+            w: -e.w - 1,
+            lit: !e.lit,
         }
-        remaining.remove(&m);
-        for e in incident {
-            edges.remove(&e);
-            if let Some(set) = edges_of.get_mut(&e.u) {
-                set.remove(&e);
-            }
-            if let Some(set) = edges_of.get_mut(&e.v) {
-                set.remove(&e);
-            }
-        }
-        edges_of.remove(&m);
     }
-    Ok(clauses)
+
+    fn is_tautology(ein: Edge, eout: Edge) -> bool {
+        // An edge composed with its own complement.
+        ein.lit == !eout.lit
+    }
+
+    fn loop_conflicts(w: i64) -> bool {
+        w < 0
+    }
+
+    fn derive(&mut self, circuit: &mut Circuit, u: VarSym, v: VarSym, w: i64) -> Signal {
+        self.derived_bound(circuit, u, v, w)
+    }
+
+    fn implications(
+        e1: Signal,
+        e2: Signal,
+        e3: Signal,
+    ) -> impl Iterator<Item = (Signal, Signal, Signal)> {
+        std::iter::once((e1, e2, e3))
+    }
 }
 
+impl TransTable for EqTable {
+    const SYMMETRIC: bool = true;
+
+    fn originals(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
+        self.iter_original()
+    }
+
+    fn reverse(e: Edge) -> Edge {
+        Edge {
+            u: e.v,
+            v: e.u,
+            w: -e.w,
+            lit: e.lit,
+        }
+    }
+
+    fn is_tautology(ein: Edge, eout: Edge) -> bool {
+        // An edge composed with its own reverse: an offset-0 loop.
+        ein.lit == eout.lit && ein.u == eout.v
+    }
+
+    fn loop_conflicts(w: i64) -> bool {
+        // x = x + w with w ≠ 0.
+        w != 0
+    }
+
+    fn derive(&mut self, circuit: &mut Circuit, u: VarSym, v: VarSym, w: i64) -> Signal {
+        self.derived_equality(circuit, u, v, w)
+    }
+
+    fn implications(
+        e1: Signal,
+        e2: Signal,
+        e3: Signal,
+    ) -> impl Iterator<Item = (Signal, Signal, Signal)> {
+        // Bryant–Velev triangle constraints: all three rotations. A false
+        // equality contributes no graph edge, so each triangle must be
+        // constrained in every direction for completeness.
+        [(e1, e2, e3), (e1, e3, e2), (e2, e3, e1)].into_iter()
+    }
+}
+
+/// A directed edge `u → v` of weight `w` under literal `lit`.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, Hash)]
-struct Edge {
+pub(crate) struct Edge {
     u: VarSym,
     v: VarSym,
     w: i64,
@@ -451,55 +366,36 @@ struct Edge {
 }
 
 /// Generates the transitivity constraints for one class of `V_g`
-/// constants, given the predicate variables already allocated in `table`
-/// for pairs within `class_vars`.
+/// constants by min-degree vertex elimination over the predicates already
+/// allocated in `table` for pairs within `class_vars`:
 ///
-/// Returns clauses over circuit signals. New predicate variables created
-/// for derived bounds are added to `table` (and to the circuit as inputs).
+/// * eliminating `m` composes every edge pair `u → m → v` into a derived
+///   predicate with the clauses [`TransTable::implications`] give;
+/// * a composition closing a self-loop the table deems contradictory
+///   yields a conflict clause.
+///
+/// Atom-original predicates join the graph in both orientations
+/// ([`TransTable::reverse`]). Derived predicates are added to `table` (and
+/// to the circuit as inputs); they join the graph in the derived direction,
+/// and in both for symmetric tables.
 ///
 /// # Errors
 ///
 /// Returns [`TransBudgetExceeded`] when more than `budget` clauses would be
-/// generated.
-pub fn generate_transitivity(
+/// generated, or when the deadline passes or `cancel` is raised.
+pub(crate) fn generate_transitivity<T: TransTable>(
     circuit: &mut Circuit,
-    table: &mut BoundTable,
+    table: &mut T,
     class_vars: &[VarSym],
     budget: usize,
     deadline: Option<Instant>,
     cancel: Option<&CancelToken>,
-) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
-    generate_transitivity_ordered(
-        circuit,
-        table,
-        class_vars,
-        budget,
-        deadline,
-        cancel,
-        ElimOrder::MinDegree,
-    )
-}
-
-/// [`generate_transitivity`] with an explicit elimination order.
-///
-/// # Errors
-///
-/// Returns [`TransBudgetExceeded`] past `budget` clauses or the deadline.
-pub fn generate_transitivity_ordered(
-    circuit: &mut Circuit,
-    table: &mut BoundTable,
-    class_vars: &[VarSym],
-    budget: usize,
-    deadline: Option<Instant>,
-    cancel: Option<&CancelToken>,
-    order: ElimOrder,
 ) -> Result<Vec<Vec<Signal>>, TransBudgetExceeded> {
     let members: HashSet<VarSym> = class_vars.iter().copied().collect();
     let mut clauses: Vec<Vec<Signal>> = Vec::new();
     let mut seen_clauses: HashSet<Vec<Signal>> = HashSet::new();
     let mut edges: HashSet<Edge> = HashSet::new();
     let mut edges_of: HashMap<VarSym, HashSet<Edge>> = HashMap::new();
-
     let add_edge =
         |e: Edge, edges: &mut HashSet<Edge>, edges_of: &mut HashMap<VarSym, HashSet<Edge>>| {
             if edges.insert(e) {
@@ -507,37 +403,25 @@ pub fn generate_transitivity_ordered(
                 edges_of.entry(e.v).or_default().insert(e);
             }
         };
+    let mut emit = |clause: Vec<Signal>, clauses: &mut Vec<Vec<Signal>>| {
+        if seen_clauses.insert(clause_key(&clause)) {
+            clauses.push(clause);
+        }
+    };
 
-    // Atom-original predicates carry two-sided semantics: `e` asserts the
-    // bound, `¬e` asserts the complement. Derived predicates introduced
-    // below are one-sided (`e₁ ∧ e₂ ⇒ e₃` only), which keeps the derived
-    // constants bounded by path sums — in particular polynomial for
-    // equality-only classes, matching Bryant–Velev.
     let initial: Vec<(VarSym, VarSym, i64, Signal)> = table
-        .iter_original()
+        .originals()
         .filter(|&(x, y, _, _)| members.contains(&x) && members.contains(&y))
         .collect();
     for (x, y, c, s) in initial {
-        add_edge(
-            Edge {
-                u: x,
-                v: y,
-                w: c,
-                lit: s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
-        add_edge(
-            Edge {
-                u: y,
-                v: x,
-                w: -c - 1,
-                lit: !s,
-            },
-            &mut edges,
-            &mut edges_of,
-        );
+        let e = Edge {
+            u: x,
+            v: y,
+            w: c,
+            lit: s,
+        };
+        add_edge(e, &mut edges, &mut edges_of);
+        add_edge(T::reverse(e), &mut edges, &mut edges_of);
     }
 
     let mut steps = 0usize;
@@ -546,10 +430,7 @@ pub fn generate_transitivity_ordered(
         // Min-degree vertex among the remaining.
         let m = *remaining
             .iter()
-            .min_by_key(|v| match order {
-                ElimOrder::MinDegree => (edges_of.get(v).map_or(0, HashSet::len), v.index()),
-                ElimOrder::InputOrder => (0, v.index()),
-            })
+            .min_by_key(|v| (edges_of.get(v).map_or(0, HashSet::len), v.index()))
             .expect("non-empty");
         let incident: Vec<Edge> = edges_of
             .get(&m)
@@ -559,42 +440,34 @@ pub fn generate_transitivity_ordered(
         let outs: Vec<Edge> = incident.iter().copied().filter(|e| e.u == m).collect();
         for &ein in &ins {
             for &eout in &outs {
-                if ein.lit == !eout.lit {
-                    // An edge composed with its own complement: tautology.
+                if T::is_tautology(ein, eout) {
                     continue;
                 }
                 let w = ein.w + eout.w;
                 if ein.u == eout.v {
-                    // Self-loop: a negative one is a contradiction.
-                    if w < 0 {
-                        let clause = vec![!ein.lit, !eout.lit];
-                        if seen_clauses.insert(clause_key(&clause)) {
-                            clauses.push(clause);
-                        }
+                    if T::loop_conflicts(w) {
+                        emit(vec![!ein.lit, !eout.lit], &mut clauses);
                     }
                     continue;
                 }
-                let lit3 = table.derived_bound(circuit, ein.u, eout.v, w);
-                if lit3 != ein.lit && lit3 != eout.lit {
-                    // Otherwise e1 ∧ e2 ⇒ e1: a tautology.
-                    let clause = vec![!ein.lit, !eout.lit, lit3];
-                    if seen_clauses.insert(clause_key(&clause)) {
-                        clauses.push(clause);
+                let lit3 = table.derive(circuit, ein.u, eout.v, w);
+                for (a, b, c) in T::implications(ein.lit, eout.lit, lit3) {
+                    if c != a && c != b {
+                        // Otherwise a ∧ b ⇒ a: a tautology.
+                        emit(vec![!a, !b, c], &mut clauses);
                     }
                 }
-                // Only the derived direction joins the graph, so later
-                // eliminations can keep collapsing cycles through it;
-                // re-adding existing edges is idempotent.
-                add_edge(
-                    Edge {
-                        u: ein.u,
-                        v: eout.v,
-                        w,
-                        lit: lit3,
-                    },
-                    &mut edges,
-                    &mut edges_of,
-                );
+                // Re-adding existing edges is idempotent.
+                let derived = Edge {
+                    u: ein.u,
+                    v: eout.v,
+                    w,
+                    lit: lit3,
+                };
+                add_edge(derived, &mut edges, &mut edges_of);
+                if T::SYMMETRIC {
+                    add_edge(T::reverse(derived), &mut edges, &mut edges_of);
+                }
                 if clauses.len() > budget {
                     return Err(TransBudgetExceeded {
                         generated: clauses.len(),
@@ -782,7 +655,7 @@ mod tests {
             table.equality(&mut circuit, vs[x], vs[y], c);
         }
         let clauses =
-            generate_equality_transitivity(&mut circuit, &mut table, &vs, 1_000_000, None, None).unwrap();
+            generate_transitivity(&mut circuit, &mut table, &vs, 1_000_000, None, None).unwrap();
         let original: Vec<(VarSym, VarSym, i64, Signal)> = table.iter_original().collect();
         let all: Vec<(VarSym, VarSym, i64, Signal)> = table.iter().collect();
         let n_inputs = circuit.num_inputs();
@@ -896,7 +769,7 @@ mod tests {
             }
         }
         let clauses =
-            generate_equality_transitivity(&mut circuit, &mut table, &vs, 1_000_000, None, None).unwrap();
+            generate_transitivity(&mut circuit, &mut table, &vs, 1_000_000, None, None).unwrap();
         assert!(
             clauses.len() < 2000,
             "equality transitivity should be cubic-ish, got {}",
@@ -907,63 +780,6 @@ mod tests {
             "derived vars bounded, got {}",
             table.len()
         );
-    }
-
-    #[test]
-    fn elimination_orders_are_both_complete() {
-        // Same completeness battery under input-order elimination.
-        for order in [ElimOrder::MinDegree, ElimOrder::InputOrder] {
-            let mut tm = TermManager::new();
-            let vs = vars(&mut tm, 4);
-            let mut circuit = Circuit::new();
-            let mut table = BoundTable::new();
-            let raw = [(0usize, 1usize, 0i64), (1, 2, 1), (2, 3, -1), (3, 0, 0)];
-            for &(x, y, c) in &raw {
-                table.bound(&mut circuit, vs[x], vs[y], c);
-            }
-            let clauses = generate_transitivity_ordered(
-                &mut circuit,
-                &mut table,
-                &vs,
-                1_000_000,
-                None,
-                None,
-                order,
-            )
-            .unwrap();
-            let original: Vec<(VarSym, VarSym, i64, Signal)> = table.iter_original().collect();
-            let n_inputs = circuit.num_inputs();
-            assert!(n_inputs <= 18);
-            for m in 0u64..(1 << n_inputs) {
-                let inputs: Vec<bool> = (0..n_inputs).map(|i| m >> i & 1 == 1).collect();
-                if !clauses
-                    .iter()
-                    .all(|cl| cl.iter().any(|&l| circuit.eval(l, &inputs)))
-                {
-                    continue;
-                }
-                let mut diff = Vec::new();
-                for (i, &(x, y, c, s)) in original.iter().enumerate() {
-                    if circuit.eval(s, &inputs) {
-                        diff.push(sufsat_seplog::Bound { x, y, c, tag: i });
-                    } else {
-                        diff.push(sufsat_seplog::Bound {
-                            x: y,
-                            y: x,
-                            c: -c - 1,
-                            tag: i,
-                        });
-                    }
-                }
-                assert!(
-                    matches!(
-                        sufsat_seplog::solve_bounds(&diff, &[]),
-                        sufsat_seplog::DiffResult::Sat(_)
-                    ),
-                    "{order:?}: assignment {m:b} satisfied clauses but is infeasible"
-                );
-            }
-        }
     }
 
     #[test]

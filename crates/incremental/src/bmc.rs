@@ -10,15 +10,15 @@
 //! the solver's learnt clauses carry across depths. The per-depth
 //! verdicts are the same ([`Outcome::Valid`] ⇔ `init ∧ ¬propₖ` unsat ⇔
 //! the obligation is valid), and the obligations themselves are built by
-//! the *same* [`substitute_state`] unroller the from-scratch path uses.
+//! the *same* [`substitute_state`] and [`TransitionSystem::advance`]
+//! unrolling the from-scratch path uses.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use sufsat_core::{
     substitute_state, BmcResult, DecideOptions, Outcome, TransitionSystem,
 };
-use sufsat_suf::{Sort, TermId, TermManager};
+use sufsat_suf::TermManager;
 
 use crate::session::Session;
 
@@ -74,28 +74,13 @@ pub fn check_bounded_incremental_report(
     bound: usize,
     options: &DecideOptions,
 ) -> (BmcResult, IncrementalBmcReport) {
-    assert_eq!(
-        system.state.len(),
-        system.next.len(),
-        "state and next must align"
-    );
-    for &s in system.state.iter().chain(&system.inputs) {
-        assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
-    }
-    assert_eq!(tm.sort(system.init), Sort::Bool, "init must be Boolean");
-    assert_eq!(
-        tm.sort(system.property),
-        Sort::Bool,
-        "property must be Boolean"
-    );
-
+    system.assert_well_formed(tm);
     let span = sufsat_obs::span_with!("bmc.incremental", bound = bound);
     let owned = std::mem::replace(tm, TermManager::new());
     let mut session = Session::with_term_manager(owned, options.clone());
     session.assert(system.init);
 
-    let mut current: HashMap<TermId, TermId> =
-        system.state.iter().map(|&s| (s, s)).collect();
+    let mut current = system.initial_state();
     let mut report = IncrementalBmcReport::default();
     let mut result = BmcResult::Bounded(bound);
 
@@ -134,15 +119,7 @@ pub fn check_bounded_incremental_report(
         if step == bound {
             break;
         }
-        // Advance: s_{k+1} = next(s_k, fresh inputs).
-        let next_state: Vec<TermId> = system
-            .next
-            .iter()
-            .map(|&n| substitute_state(session.term_manager_mut(), n, system, &current, step))
-            .collect();
-        for (s, n) in system.state.iter().zip(next_state) {
-            current.insert(*s, n);
-        }
+        system.advance(session.term_manager_mut(), &mut current, step);
     }
 
     let stats = session.stats();

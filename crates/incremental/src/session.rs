@@ -17,7 +17,7 @@
 //! clause (which can only resolve on *unguarded* consequences plus `¬act`
 //! literals, all still valid) survives for later checks.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use sufsat_core::{
@@ -26,6 +26,7 @@ use sufsat_core::{
 };
 use sufsat_encode::{
     try_decode_model_parts, EncodeOptions, IncrementalEncoder, IncrementalLoader, ReencodeReason,
+    Signal,
 };
 use sufsat_sat::{minimize_assumptions, Interrupt, Lit, SolveResult, Solver};
 use sufsat_seplog::{SepAnalysis, SepAssignment};
@@ -125,6 +126,10 @@ pub struct Session {
     solver: Solver,
     loader: IncrementalLoader,
     enc: IncrementalEncoder,
+    /// Transitivity clauses of the current encoder already loaded into
+    /// the solver (sorted-signal keys): every extension regenerates the
+    /// live classes' clauses in full.
+    trans_seen: HashSet<Vec<Signal>>,
     assertions: Vec<Assertion>,
     /// Stack of `assertions.len()` marks, one per open `push`.
     frames: Vec<usize>,
@@ -162,6 +167,7 @@ impl Session {
             elim: IncrementalElim::new(),
             solver: Solver::new(),
             enc: IncrementalEncoder::new(),
+            trans_seen: HashSet::new(),
             assertions: Vec::new(),
             frames: Vec::new(),
             next_id: 0,
@@ -303,6 +309,7 @@ impl Session {
         self.solver = Solver::new();
         self.loader = IncrementalLoader::new(self.options.cnf);
         self.enc = IncrementalEncoder::new();
+        self.trans_seen.clear();
         self.preprocessed_at = None;
         for a in &mut self.assertions {
             a.act = None;
@@ -432,12 +439,22 @@ impl Session {
         stats.sd_classes = delta.stats.sd_classes;
         stats.eij_classes = delta.stats.eij_classes;
         stats.pred_vars = delta.stats.pred_vars;
-        stats.trans_clauses = delta.stats.new_trans;
 
         // Transitivity clauses are universally valid: load them
         // permanently, unguarded, exactly once.
+        let regenerated = delta.trans.len();
+        let new_trans: Vec<Vec<Signal>> = delta
+            .trans
+            .into_iter()
+            .filter(|clause| {
+                let mut key = clause.clone();
+                key.sort_unstable();
+                self.trans_seen.insert(key)
+            })
+            .collect();
+        stats.trans_clauses = new_trans.len();
         self.loader
-            .load(self.enc.circuit(), &[], &delta.new_trans, &mut self.solver);
+            .load(self.enc.circuit(), &[], &new_trans, &mut self.solver);
 
         // Guard every live assertion not yet guarded in this generation.
         let mut acts: Vec<Lit> = Vec::with_capacity(self.assertions.len());
@@ -543,8 +560,8 @@ impl Session {
                 fresh_roots = fresh_roots,
                 reused_roots = self.assertions.len() - fresh_roots,
                 reencoded = reencoded.is_some(),
-                new_trans = delta.stats.new_trans,
-                dedup_trans = delta.stats.dedup_trans,
+                new_trans = new_trans.len(),
+                dedup_trans = regenerated - new_trans.len(),
                 conflicts = stats.conflict_clauses,
                 core = unsat_core.as_ref().map_or(0, Vec::len),
             );

@@ -18,6 +18,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use crate::incremental_elim::IncrementalElim;
 use crate::polarity::{analyze_polarity, PolarityInfo};
 use crate::term::{FunSym, PredSym, Term, TermId, TermManager, VarSym};
 
@@ -50,7 +51,9 @@ pub struct ElimResult {
     pub polarity: PolarityInfo,
 }
 
-/// Eliminates all function and predicate applications from `root`.
+/// Eliminates all function and predicate applications from `root`: one
+/// [`IncrementalElim`] pass, followed by the positive-equality
+/// classification of `root` and of the fresh constants.
 ///
 /// The transformation is validity-preserving: the returned formula is valid
 /// iff `root` is valid in SUF.
@@ -75,149 +78,23 @@ pub struct ElimResult {
 pub fn eliminate(tm: &mut TermManager, root: TermId) -> ElimResult {
     let obs_span = sufsat_obs::span("suf.eliminate");
     let polarity = analyze_polarity(tm, root);
-    let order = tm.postorder(root);
-    let mut map: HashMap<TermId, TermId> = HashMap::with_capacity(order.len());
-    // Previously seen (eliminated) argument vectors per symbol, with the
-    // fresh constant naming that instance.
-    let mut fun_instances: HashMap<FunSym, Vec<(Vec<TermId>, TermId)>> = HashMap::new();
-    let mut pred_instances: HashMap<PredSym, Vec<(Vec<TermId>, TermId)>> = HashMap::new();
-    let mut fresh_int_origin: HashMap<VarSym, (FunSym, usize)> = HashMap::new();
-    let mut p_vars: HashSet<VarSym> = polarity.p_vars().clone();
-    let mut num_fresh_int = 0usize;
-    let mut num_fresh_bool = 0usize;
-
-    for id in order {
-        let get = |m: &HashMap<TermId, TermId>, c: TermId| -> TermId {
-            *m.get(&c).expect("children mapped before parents")
-        };
-        let new_id = match tm.term(id).clone() {
-            Term::True => tm.mk_true(),
-            Term::False => tm.mk_false(),
-            Term::Not(a) => {
-                let a = get(&map, a);
-                tm.mk_not(a)
-            }
-            Term::And(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_and(a, b)
-            }
-            Term::Or(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_or(a, b)
-            }
-            Term::Implies(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_implies(a, b)
-            }
-            Term::Iff(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_iff(a, b)
-            }
-            Term::IteBool(c, t, e) => {
-                let (c, t, e) = (get(&map, c), get(&map, t), get(&map, e));
-                tm.mk_ite_bool(c, t, e)
-            }
-            Term::Eq(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_eq(a, b)
-            }
-            Term::Lt(a, b) => {
-                let (a, b) = (get(&map, a), get(&map, b));
-                tm.mk_lt(a, b)
-            }
-            Term::BoolVar(_) | Term::IntVar(_) => id,
-            Term::Succ(a) => {
-                let a = get(&map, a);
-                tm.mk_succ(a)
-            }
-            Term::Pred(a) => {
-                let a = get(&map, a);
-                tm.mk_pred(a)
-            }
-            Term::IteInt(c, t, e) => {
-                let (c, t, e) = (get(&map, c), get(&map, t), get(&map, e));
-                tm.mk_ite_int(c, t, e)
-            }
-            Term::App(f, args) => {
-                let args: Vec<TermId> = args.iter().map(|&a| get(&map, a)).collect();
-                let instances = fun_instances.entry(f).or_default();
-                let instance_index = instances.len();
-                let fname = tm.fun_name(f).to_owned();
-                let fresh = tm.fresh_int_var(&format!("vf!{fname}"));
-                num_fresh_int += 1;
-                let Term::IntVar(sym) = *tm.term(fresh) else {
-                    unreachable!("fresh_int_var returns an IntVar")
-                };
-                fresh_int_origin.insert(sym, (f, instance_index));
-                if polarity.is_p_fun(f) {
-                    p_vars.insert(sym);
-                }
-                let prior = instances.clone();
-                instances.push((args.clone(), fresh));
-                build_ite_chain(tm, &args, &prior, fresh, true)
-            }
-            Term::PApp(p, args) => {
-                let args: Vec<TermId> = args.iter().map(|&a| get(&map, a)).collect();
-                let instances = pred_instances.entry(p).or_default();
-                let pname = tm.pred_name(p).to_owned();
-                let fresh = tm.fresh_bool_var(&format!("vp!{pname}"));
-                num_fresh_bool += 1;
-                let prior = instances.clone();
-                instances.push((args.clone(), fresh));
-                build_ite_chain(tm, &args, &prior, fresh, false)
-            }
-        };
-        map.insert(id, new_id);
-    }
-
+    let mut elim = IncrementalElim::new();
+    let formula = elim.eliminate(tm, root);
+    let result = elim.into_result(formula, polarity);
     if obs_span.is_recording() {
         // The paper's p-function split (positive-equality analysis) plus
         // instance counts: how much nested-ITE structure elimination built.
         sufsat_obs::event!(
             "suf.eliminate.done",
-            fun_syms = fun_instances.len(),
-            fun_instances = fun_instances.values().map(Vec::len).sum::<usize>(),
-            pred_syms = pred_instances.len(),
-            pred_instances = pred_instances.values().map(Vec::len).sum::<usize>(),
-            fresh_int = num_fresh_int,
-            fresh_bool = num_fresh_bool,
-            p_vars = p_vars.len(),
-            p_fun_fraction = polarity.p_fun_app_fraction(tm, root),
+            fun_syms = result.fun_instances.len(),
+            fun_instances = result.fun_instances.values().map(Vec::len).sum::<usize>(),
+            pred_syms = result.pred_instances.len(),
+            pred_instances = result.pred_instances.values().map(Vec::len).sum::<usize>(),
+            fresh_int = result.num_fresh_int,
+            fresh_bool = result.num_fresh_bool,
+            p_vars = result.p_vars.len(),
+            p_fun_fraction = result.polarity.p_fun_app_fraction(tm, root),
         );
-    }
-    ElimResult {
-        formula: map[&root],
-        p_vars,
-        fresh_int_origin,
-        fun_instances,
-        pred_instances,
-        num_fresh_int,
-        num_fresh_bool,
-        polarity,
-    }
-}
-
-/// Builds `ITE(args = prior₁.args, prior₁.v, ITE(…, fresh))`.
-fn build_ite_chain(
-    tm: &mut TermManager,
-    args: &[TermId],
-    prior: &[(Vec<TermId>, TermId)],
-    fresh: TermId,
-    int_sorted: bool,
-) -> TermId {
-    let mut result = fresh;
-    for (prev_args, prev_val) in prior.iter().rev() {
-        let eqs: Vec<TermId> = args
-            .iter()
-            .zip(prev_args)
-            .map(|(&a, &b)| tm.mk_eq(a, b))
-            .collect();
-        let cond = tm.mk_and_many(&eqs);
-        result = if int_sorted {
-            tm.mk_ite_int(cond, *prev_val, result)
-        } else {
-            tm.mk_ite_bool(cond, *prev_val, result)
-        };
     }
     result
 }

@@ -1,8 +1,12 @@
-//! Persistent application elimination for incremental sessions.
+//! Application elimination with persistent instance tables: the one
+//! rewrite behind both [`eliminate`](crate::eliminate) and incremental
+//! sessions.
 //!
-//! [`eliminate`](crate::eliminate) rewrites one formula in isolation; an
-//! incremental session asserts formulas one at a time and needs the
-//! nested-ITE instance tables to *persist*, for two reasons:
+//! [`eliminate`](crate::eliminate) runs a fresh [`IncrementalElim`] once
+//! and then classifies `V_p` from the polarity of that one formula. A
+//! session asserts formulas one at a time and keeps one
+//! [`IncrementalElim`] for its whole life, because the instance tables
+//! must *persist*:
 //!
 //! * functional consistency must hold **across** assertions — `f(x)`
 //!   asserted in one frame and `f(y)` in a later one must still satisfy
@@ -18,14 +22,14 @@
 //! elimination of a formula containing those extra applications in dead
 //! positions, and the extra fresh constants are unconstrained.
 //!
-//! Unlike the one-shot path, p-classification is **not** done here: the
-//! polarity of a function depends on the whole asserted conjunction, so
-//! the session recomputes it per check (see
-//! [`IncrementalElim::p_fresh_vars`]) and falls back to re-encoding when a
-//! commitment flips.
+//! The rewrite itself is purely structural. The p-classification depends
+//! on the whole asserted conjunction, so a session recomputes it per
+//! check (see [`IncrementalElim::p_fresh_vars`]) and falls back to
+//! re-encoding when a commitment flips.
 
 use std::collections::{HashMap, HashSet};
 
+use crate::elim::ElimResult;
 use crate::polarity::PolarityInfo;
 use crate::term::{FunSym, PredSym, Term, TermId, TermManager, VarSym};
 
@@ -190,10 +194,27 @@ impl IncrementalElim {
     pub fn num_fresh_bool(&self) -> usize {
         self.num_fresh_bool
     }
+
+    /// The one-shot result for `formula`, the elimination of a single
+    /// root: `V_p` is `polarity`'s p-constants plus the fresh constants of
+    /// p-functions.
+    pub(crate) fn into_result(self, formula: TermId, polarity: PolarityInfo) -> ElimResult {
+        let mut p_vars = polarity.p_vars().clone();
+        p_vars.extend(self.p_fresh_vars(&polarity));
+        ElimResult {
+            formula,
+            p_vars,
+            fresh_int_origin: self.fresh_int_origin,
+            fun_instances: self.fun_instances,
+            pred_instances: self.pred_instances,
+            num_fresh_int: self.num_fresh_int,
+            num_fresh_bool: self.num_fresh_bool,
+            polarity,
+        }
+    }
 }
 
-/// Builds `ITE(args = prior₁.args, prior₁.v, ITE(…, fresh))` — identical
-/// to the one-shot chain builder, over the persistent instance tables.
+/// Builds `ITE(args = prior₁.args, prior₁.v, ITE(…, fresh))`.
 fn build_ite_chain(
     tm: &mut TermManager,
     args: &[TermId],

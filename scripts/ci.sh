@@ -28,6 +28,10 @@ SUFSAT_TRACE=target/ci-trace.jsonl ./target/release/paper-eval --timeout 2 fig2
 # The aggregation document must carry its schema marker.
 grep -q '"schema":"sufsat-stages-v1"' target/ci-stages.json
 
+echo "==> encode: work counters of all 49 benchmarks x {SD, EIJ, HYBRID} vs results/encode_counts.csv"
+# Tier-1 checks only the light benchmarks; this checks all 147 rows.
+cargo test -q --release --test encode_counts -- --include-ignored
+
 echo "==> incremental: push/pop state machine vs from-scratch decide"
 cargo test -q --release --test incremental_session
 

@@ -10,7 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sufsat::serve::{reply_status, reply_verdict, Client, ServeOptions, Server};
 use sufsat_obs::json::{self, Json};
@@ -62,6 +62,22 @@ fn obj_u64(reply: &Json, outer: &str, key: &str) -> u64 {
         .and_then(|o| o.get(key))
         .and_then(Json::as_u64)
         .unwrap_or_else(|| panic!("reply lacks `{outer}.{key}`: {reply:?}"))
+}
+
+/// Polls the `metrics` op until it reports `n` requests in flight.
+fn wait_for_inflight(client: &mut Client, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let metrics = client.metrics().unwrap();
+        if metrics.get("inflight").and_then(Json::as_u64) == Some(n) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting for {n} in flight; last metrics: {metrics:?}"
+        );
+        std::thread::sleep(Duration::from_millis(25));
+    }
 }
 
 #[test]
@@ -188,6 +204,9 @@ fn introspection_layer_end_to_end() {
     json::escape_into(&mut msg, &php_problem(11));
     msg.push_str(",\"timeout_ms\":2000}");
     inflight.send_raw(msg.as_bytes()).unwrap();
+    // A shutdown that overtook the decide would rightly reject it: wait
+    // until the server has admitted it.
+    wait_for_inflight(&mut client, 1);
 
     let mut admin = Client::connect(&*addr).unwrap();
     let reply = admin.shutdown_server().unwrap();
