@@ -42,12 +42,20 @@ impl TransitionSystem {
     /// Panics if `state` and `next` lengths differ, a state/input term is
     /// not integer-sorted, or `init`/`property` are not Boolean.
     pub fn assert_well_formed(&self, tm: &TermManager) {
-        assert_eq!(self.state.len(), self.next.len(), "state and next must align");
+        assert_eq!(
+            self.state.len(),
+            self.next.len(),
+            "state and next must align"
+        );
         for &s in self.state.iter().chain(&self.inputs) {
             assert_eq!(tm.sort(s), Sort::Int, "state and inputs must be integers");
         }
         assert_eq!(tm.sort(self.init), Sort::Bool, "init must be Boolean");
-        assert_eq!(tm.sort(self.property), Sort::Bool, "property must be Boolean");
+        assert_eq!(
+            tm.sort(self.property),
+            Sort::Bool,
+            "property must be Boolean"
+        );
     }
 
     /// The symbolic state at step 0: each state variable is itself.

@@ -515,13 +515,12 @@ impl IncrementalEncoder {
             }
             let eq_only = dom.eq_only;
             let budget = options.trans_budget.saturating_sub(trans.len());
+            let (circuit, vars) = (&mut self.circuit, &class.vars);
             let (deadline, cancel) = (options.deadline, options.cancel.as_ref());
             let result = if eq_only {
-                let table = &mut self.eq_table;
-                generate_transitivity(&mut self.circuit, table, &class.vars, budget, deadline, cancel)
+                generate_transitivity(circuit, &mut self.eq_table, vars, budget, deadline, cancel)
             } else {
-                let table = &mut self.table;
-                generate_transitivity(&mut self.circuit, table, &class.vars, budget, deadline, cancel)
+                generate_transitivity(circuit, &mut self.table, vars, budget, deadline, cancel)
             };
             let clauses = match result {
                 Ok(clauses) => clauses,

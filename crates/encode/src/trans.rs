@@ -315,6 +315,9 @@ impl TransTable for BoundTable {
 }
 
 impl TransTable for EqTable {
+    // A false equality is a disequality. It needs no graph edge: any
+    // positive path forcing the same difference resolves to the *same*
+    // canonical variable, contradicting it directly.
     const SYMMETRIC: bool = true;
 
     fn originals(&self) -> impl Iterator<Item = (VarSym, VarSym, i64, Signal)> + '_ {
@@ -809,7 +812,8 @@ mod tests {
         let vs = vars(&mut tm, 3);
         let mut circuit = Circuit::new();
         let mut table = BoundTable::new();
-        let clauses = generate_transitivity(&mut circuit, &mut table, &vs, 100, None, None).unwrap();
+        let clauses =
+            generate_transitivity(&mut circuit, &mut table, &vs, 100, None, None).unwrap();
         assert!(clauses.is_empty());
     }
 }

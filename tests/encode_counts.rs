@@ -58,7 +58,11 @@ fn benchmarks() -> Vec<(String, PathBuf)> {
         .map(|e| e.expect("directory entry").path())
         .filter(|p| p.extension().is_some_and(|x| x == "suf"))
         .map(|p| {
-            let name = p.file_stem().expect("file name").to_string_lossy().into_owned();
+            let name = p
+                .file_stem()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
             (name, p)
         })
         .collect();
