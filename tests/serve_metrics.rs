@@ -116,8 +116,9 @@ fn introspection_layer_end_to_end() {
 
     // …then one hard decide whose timeout lands mid-search, so the
     // solver heartbeats real progress and the request tops the slow log.
+    // Twelve pigeons: an optimised build can prove eleven in under 1.2 s.
     let reply = client
-        .decide(&php_problem(11), Some(Duration::from_millis(1200)))
+        .decide(&php_problem(12), Some(Duration::from_millis(1200)))
         .unwrap();
     assert_eq!(reply_status(&reply), "ok");
     assert_eq!(reply_verdict(&reply), "unknown", "expected timeout: {reply:?}");
@@ -201,7 +202,7 @@ fn introspection_layer_end_to_end() {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
     let mut msg = String::from("{\"id\":7,\"op\":\"decide\",\"problem\":");
-    json::escape_into(&mut msg, &php_problem(11));
+    json::escape_into(&mut msg, &php_problem(12));
     msg.push_str(",\"timeout_ms\":2000}");
     inflight.send_raw(msg.as_bytes()).unwrap();
     // A shutdown that overtook the decide would rightly reject it: wait
