@@ -522,15 +522,22 @@ fn decide_inner(
 
     let mut certificate = None;
     let outcome = match result {
-        SolveResult::Unsat => {
-            if options.certify {
-                certificate = Some(Certificate::Refutation {
-                    steps: solver.proof().map_or(0, |p| p.steps().len()),
-                    checked: solver.check_proof().unwrap_or(false),
-                });
+        SolveResult::Unsat if options.certify => {
+            // Proof logging is on, so `None` means the cancel token was
+            // raised during the replay: a portfolio lane that lost the
+            // race while checking its proof stops there.
+            match solver.check_proof() {
+                Some(checked) => {
+                    certificate = Some(Certificate::Refutation {
+                        steps: solver.proof().map_or(0, |p| p.steps().len()),
+                        checked,
+                    });
+                    Outcome::Valid
+                }
+                None => Outcome::Unknown(StopReason::Cancelled),
             }
-            Outcome::Valid
         }
+        SolveResult::Unsat => Outcome::Valid,
         SolveResult::Sat => match try_decode_model(&encoded, &map, &solver) {
             Ok(cex) => {
                 let falsifies_separation = !cex.evaluate(tm, elim.formula);

@@ -7,6 +7,8 @@
 //!
 //! Prints `s SATISFIABLE` with a `v …` model line, `s UNSATISFIABLE`, or
 //! `s UNKNOWN`, following the SAT-competition output conventions.
+//! A `c` line follows with the search counters, named as the columns of
+//! `results/sat_trajectories.csv`, and the solve time.
 //! Exit codes: 10 sat, 20 unsat, 0 unknown, 2 usage/parse error.
 
 use std::io::Read;
@@ -88,11 +90,15 @@ fn main() {
 fn print_stats(solver: &sufsat_sat::Solver) {
     let s = solver.stats();
     println!(
-        "c conflicts={} decisions={} propagations={} restarts={} time={:.3}s",
+        "c conflicts={} decisions={} propagations={} learnt_literals={} restarts={} \
+         reductions={} gc_runs={} time={:.3}s",
         s.conflicts,
         s.decisions,
         s.propagations,
+        s.learnt_literals,
         s.restarts,
+        s.reductions,
+        s.gc_runs,
         s.solve_time.as_secs_f64()
     );
 }

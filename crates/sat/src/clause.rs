@@ -40,6 +40,9 @@ pub(crate) struct ClauseDb {
     wasted: usize,
     /// Live clause count.
     live: usize,
+    /// Live learnt-clause count, kept in step with the learnt flag so
+    /// [`ClauseDb::num_learnts`] never walks the learnt list.
+    live_learnts: usize,
     /// Live learnt-clause refs (may contain stale entries cleaned at
     /// reduce/GC time).
     pub(crate) learnts: Vec<ClauseRef>,
@@ -62,6 +65,7 @@ impl ClauseDb {
         self.data.extend(lits.iter().map(|l| l.index() as u32));
         self.live += 1;
         if learnt {
+            self.live_learnts += 1;
             self.learnts.push(cref);
         }
         cref
@@ -75,6 +79,9 @@ impl ClauseDb {
         self.data[cref as usize] = h | FLAG_REMOVED;
         self.wasted += HEADER_WORDS + (h >> SIZE_SHIFT) as usize;
         self.live -= 1;
+        if h & FLAG_LEARNT != 0 {
+            self.live_learnts -= 1;
+        }
     }
 
     #[inline]
@@ -97,6 +104,7 @@ impl ClauseDb {
             return;
         }
         self.data[cref as usize] = h & !FLAG_LEARNT;
+        self.live_learnts -= 1;
         if let Some(i) = self.learnts.iter().position(|&c| c == cref) {
             self.learnts.swap_remove(i);
         }
@@ -152,11 +160,9 @@ impl ClauseDb {
     }
 
     /// Number of live learnt clauses.
+    #[inline]
     pub(crate) fn num_learnts(&self) -> usize {
-        self.learnts
-            .iter()
-            .filter(|&&c| !self.is_removed(c) && self.learnt(c))
-            .count()
+        self.live_learnts
     }
 
     /// All clause refs in the arena, live and tombstoned alike, in
@@ -206,10 +212,14 @@ impl ClauseDb {
     }
 
     /// Installs the compacted arena produced by a relocation pass.
+    /// `learnts` holds exactly the relocated live learnt clauses.
     pub(crate) fn finish_gc(&mut self, to: ClauseDb, learnts: Vec<ClauseRef>) {
         self.data = to.data;
         self.live = to.live;
         self.wasted = 0;
+        // Collection changes no clause's liveness.
+        debug_assert_eq!(learnts.len(), self.live_learnts, "learnt index out of step");
+        self.live_learnts = learnts.len();
         self.learnts = learnts;
     }
 }

@@ -481,7 +481,7 @@ fn eliminate_sweep(s: &mut Solver, st: &mut PreState) -> bool {
             break;
         }
         let vi = v.index();
-        if s.frozen[vi] || s.eliminated[vi] || s.assigns[vi].is_assigned() {
+        if s.frozen[vi] || s.eliminated[vi] || s.value(v.positive()).is_assigned() {
             continue;
         }
         changed |= try_eliminate(s, st, v);

@@ -81,15 +81,28 @@ impl Proof {
 /// derives the empty clause. Intended for validation at test scale — the
 /// propagation is a simple fixpoint scan, not watched literals.
 pub fn check_refutation(original: &[Vec<Lit>], proof: &Proof) -> bool {
+    check_refutation_until(original, proof, || false) == Some(true)
+}
+
+/// [`check_refutation`] that gives up with `None` once `stop` returns
+/// true; `stop` is polled before every proof step.
+pub(crate) fn check_refutation_until(
+    original: &[Vec<Lit>],
+    proof: &Proof,
+    stop: impl Fn() -> bool,
+) -> Option<bool> {
     let mut db: Vec<Vec<Lit>> = original.iter().map(|c| normalize(c)).collect();
     for step in proof.steps() {
+        if stop() {
+            return None;
+        }
         match step {
             ProofStep::Add(clause) => {
                 if !rup(&db, clause) {
-                    return false;
+                    return Some(false);
                 }
                 if clause.is_empty() {
-                    return true;
+                    return Some(true);
                 }
                 db.push(normalize(clause));
             }
@@ -101,7 +114,7 @@ pub fn check_refutation(original: &[Vec<Lit>], proof: &Proof) -> bool {
             }
         }
     }
-    false
+    Some(false)
 }
 
 fn normalize(clause: &[Lit]) -> Vec<Lit> {

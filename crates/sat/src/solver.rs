@@ -10,6 +10,17 @@ use crate::progress::{ProgressHandle, ProgressSnapshot};
 use crate::proof::Proof;
 use crate::stats::{luby, Stats};
 
+// Conflict-analysis marks of a variable in `Solver::seen`. Only
+// `SEEN_SOURCE` is used outside clause minimisation.
+/// Unmarked.
+const SEEN_UNDEF: u8 = 0;
+/// On the clause being derived (or, in `analyze_final`, to be traced).
+const SEEN_SOURCE: u8 = 1;
+/// Implied by the learnt clause's literals: minimisation may drop it.
+const SEEN_REMOVABLE: u8 = 2;
+/// Reaches a decision outside the learnt clause: not implied by it.
+const SEEN_FAILED: u8 = 3;
+
 /// Outcome of a [`Solver::solve`] call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveResult {
@@ -96,7 +107,10 @@ pub struct Solver {
     config: Config,
     pub(crate) db: ClauseDb,
     pub(crate) watches: Vec<Vec<Watcher>>,
-    pub(crate) assigns: Vec<LBool>,
+    /// The value of every literal, indexed by [`Lit::index`]: the two
+    /// literals of a variable hold opposite values or are both `Undef`,
+    /// so [`Solver::value`] is a single load.
+    vals: Vec<LBool>,
     pub(crate) level: Vec<u32>,
     pub(crate) reason: Vec<ClauseRef>,
     pub(crate) trail: Vec<Lit>,
@@ -107,10 +121,20 @@ pub struct Solver {
     var_inc: f64,
     clause_inc: f64,
     phase: Vec<bool>,
-    seen: Vec<bool>,
-    /// Scratch for recursive minimization.
-    analyze_stack: Vec<Lit>,
-    analyze_clear: Vec<Var>,
+    /// Per-variable analysis marks (`SEEN_*`); all `SEEN_UNDEF` outside
+    /// `analyze` and `analyze_final`.
+    seen: Vec<u8>,
+    /// Minimisation's explicit DFS stack: (next reason position, literal).
+    analyze_stack: Vec<(usize, Lit)>,
+    /// Variables whose `seen` mark is reset when analysis ends.
+    analyze_toclear: Vec<Var>,
+    /// The clause derived by the last `analyze`, asserting literal first;
+    /// its buffer is reused from conflict to conflict.
+    learnt: Vec<Lit>,
+    /// Per-decision-level stamp: a level counts toward a learnt clause's
+    /// LBD the first time `lbd_stamp` is written to it.
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
     /// False once the clause set is known unsatisfiable at level 0.
     pub(crate) ok: bool,
     pub(crate) model: Vec<bool>,
@@ -170,7 +194,7 @@ impl Solver {
             config,
             db: ClauseDb::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -183,7 +207,10 @@ impl Solver {
             phase: Vec::new(),
             seen: Vec::new(),
             analyze_stack: Vec::new(),
-            analyze_clear: Vec::new(),
+            analyze_toclear: Vec::new(),
+            learnt: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
             ok: true,
             model: Vec::new(),
             frozen: Vec::new(),
@@ -205,32 +232,33 @@ impl Solver {
 
     /// Creates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::from_index(self.assigns.len());
-        self.assigns.push(LBool::Undef);
+        let v = Var::from_index(self.level.len());
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.phase.push(false);
-        self.seen.push(false);
+        self.seen.push(SEEN_UNDEF);
         self.frozen.push(false);
         self.eliminated.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.grow_to(self.assigns.len());
+        self.heap.grow_to(self.level.len());
         self.heap.insert(v, &self.activity);
         v
     }
 
     /// Ensures at least `n` variables exist, returning the highest one.
     pub fn reserve_vars(&mut self, n: usize) {
-        while self.assigns.len() < n {
+        while self.num_vars() < n {
             self.new_var();
         }
     }
 
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.level.len()
     }
 
     /// Number of live clauses (problem + learnt).
@@ -269,10 +297,11 @@ impl Solver {
     /// Replays the recorded DRAT proof through the built-in forward RUP
     /// checker against the recorded input clauses.
     ///
-    /// Returns `None` when proof logging was never enabled, otherwise
-    /// whether the proof is a valid refutation of the inputs. Only
-    /// meaningful after an `Unsat` answer; intended for certification at
-    /// test and fuzzing scale.
+    /// Returns `None` when proof logging was never enabled, or when the
+    /// installed [`CancelToken`] is raised during the replay (it is polled
+    /// before every proof step); otherwise whether the proof is a valid
+    /// refutation of the inputs. Only meaningful after an `Unsat` answer;
+    /// intended for certification at test and fuzzing scale.
     pub fn check_proof(&self) -> Option<bool> {
         let proof = self.proof.as_ref()?;
         let _span = sufsat_obs::span_with!(
@@ -280,7 +309,9 @@ impl Solver {
             inputs = self.input_clauses.len(),
             steps = proof.steps().len(),
         );
-        let ok = crate::proof::check_refutation(&self.input_clauses, proof);
+        let ok = crate::proof::check_refutation_until(&self.input_clauses, proof, || {
+            self.cancel_requested()
+        })?;
         sufsat_obs::event!("sat.check_proof.result", ok = ok);
         Some(ok)
     }
@@ -358,7 +389,7 @@ impl Solver {
         let clause: Vec<Lit> = lits.into_iter().collect();
         for l in &clause {
             assert!(
-                l.var().index() < self.assigns.len(),
+                l.var().index() < self.num_vars(),
                 "literal {l} refers to an unknown variable; call new_var first"
             );
         }
@@ -401,7 +432,7 @@ impl Solver {
         if clause.len() != before {
             // The stored clause is a simplification of the input; record
             // the derived version so DRAT checking sees it added.
-            self.proof_add(&clause.clone());
+            self.proof_add(&clause);
         }
         if count_original {
             self.stats.original_clauses += 1;
@@ -642,9 +673,9 @@ impl Solver {
                     self.proof_add(&[]);
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt_level, lbd) = self.analyze(confl);
+                let (bt_level, lbd) = self.analyze(confl);
                 self.backtrack_to(bt_level);
-                self.learn(learnt, lbd);
+                self.learn(lbd);
                 self.decay_activities();
                 deadline_credit += 16;
                 if let Some(budget) = self.conflict_budget {
@@ -682,11 +713,10 @@ impl Solver {
                             // assumptions force its negation. The conflicting
                             // assumption itself belongs in the core — the
                             // earlier ones only imply its negation.
-                            let mut core = self.analyze_final(!a);
-                            if !core.contains(&a) {
-                                core.push(a);
+                            self.analyze_final(!a);
+                            if !self.conflict_assumptions.contains(&a) {
+                                self.conflict_assumptions.push(a);
                             }
-                            self.conflict_assumptions = core;
                             self.backtrack_to(0);
                             return SolveResult::Unsat;
                         }
@@ -696,7 +726,9 @@ impl Solver {
                 match self.pick_branch_var() {
                     None => {
                         // All variables assigned: satisfying assignment.
-                        self.model = self.assigns.iter().map(|&a| a == LBool::True).collect();
+                        // Positive literals sit at the even indices.
+                        self.model =
+                            self.vals.iter().step_by(2).map(|&a| a == LBool::True).collect();
                         self.extend_model();
                         self.backtrack_to(0);
                         return SolveResult::Sat;
@@ -797,19 +829,16 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
+    #[inline]
     pub(crate) fn value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.vals[l.index()]
     }
 
     pub(crate) fn enqueue(&mut self, l: Lit, reason: ClauseRef) {
         debug_assert_eq!(self.value(l), LBool::Undef);
         let v = l.var();
-        self.assigns[v.index()] = LBool::from_bool(l.is_positive());
+        self.vals[l.index()] = LBool::True;
+        self.vals[(!l).index()] = LBool::False;
         self.level[v.index()] = self.decision_level();
         self.reason[v.index()] = reason;
         self.trail.push(l);
@@ -903,10 +932,13 @@ impl Solver {
 
     /// First-UIP conflict analysis with recursive clause minimization.
     ///
-    /// Returns the learnt clause (asserting literal first), the backtrack
-    /// level, and the clause's LBD.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_index(0)]; // placeholder for UIP
+    /// Leaves the learnt clause in `self.learnt` (asserting literal first,
+    /// a literal of the backtrack level second) and returns the backtrack
+    /// level and the clause's LBD.
+    fn analyze(&mut self, confl: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        learnt.push(Lit::from_index(0)); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = confl;
@@ -920,8 +952,8 @@ impl Solver {
             for k in skip..nlits {
                 let q = self.db.lit(confl, k);
                 let v = q.var();
-                if !self.seen[v.index()] && self.level[v.index()] > 0 {
-                    self.seen[v.index()] = true;
+                if self.seen[v.index()] == SEEN_UNDEF && self.level[v.index()] > 0 {
+                    self.seen[v.index()] = SEEN_SOURCE;
                     self.bump_var(v);
                     if self.level[v.index()] >= current_level {
                         counter += 1;
@@ -933,13 +965,13 @@ impl Solver {
             // Select next literal on the trail to resolve on.
             loop {
                 index -= 1;
-                if self.seen[self.trail[index].var().index()] {
+                if self.seen[self.trail[index].var().index()] != SEEN_UNDEF {
                     break;
                 }
             }
             let lit = self.trail[index];
             p = Some(lit);
-            self.seen[lit.var().index()] = false;
+            self.seen[lit.var().index()] = SEEN_UNDEF;
             counter -= 1;
             if counter == 0 {
                 break;
@@ -951,24 +983,39 @@ impl Solver {
         learnt[0] = !uip;
 
         // Mark all learnt vars seen (UIP var was unmarked above).
-        self.seen[uip.var().index()] = true;
-        self.analyze_clear = learnt.iter().map(|l| l.var()).collect();
+        self.seen[uip.var().index()] = SEEN_SOURCE;
+        self.analyze_toclear.extend(learnt.iter().map(|l| l.var()));
 
-        // Recursive minimization: drop literals implied by the rest.
-        let keep: Vec<Lit> = learnt[1..]
+        // Recursive minimization: drop literals implied by the rest,
+        // keeping the others in order.
+        let abstract_levels = learnt[1..]
             .iter()
-            .copied()
-            .filter(|&l| self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l))
-            .collect();
-        learnt.truncate(1);
-        learnt.extend(keep);
+            .fold(0, |acc, l| acc | self.abstract_level(l.var()));
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.reason[l.var().index()] == NO_REASON || !self.lit_redundant(l, abstract_levels)
+            {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
         self.stats.learnt_literals += learnt.len() as u64;
 
         // LBD: number of distinct decision levels.
-        let mut levels: Vec<u32> = learnt.iter().map(|l| self.level[l.var().index()]).collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        if self.level_stamp.len() <= current_level as usize {
+            self.level_stamp.resize(current_level as usize + 1, 0);
+        }
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &learnt {
+            let stamp = &mut self.level_stamp[self.level[l.var().index()] as usize];
+            if *stamp != self.lbd_stamp {
+                *stamp = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
         // Backtrack level: highest level among non-UIP literals.
         let bt_level = if learnt.len() == 1 {
@@ -984,81 +1031,134 @@ impl Solver {
             self.level[learnt[1].var().index()]
         };
 
-        for v in std::mem::take(&mut self.analyze_clear) {
-            self.seen[v.index()] = false;
-        }
-        (learnt, bt_level, lbd)
+        self.clear_seen();
+        self.learnt = learnt;
+        (bt_level, lbd)
     }
 
-    /// Collects the subset of assumptions that imply `p` (used when an
-    /// assumption is found already false): walks reasons backwards from the
-    /// trail, gathering decision literals.
-    fn analyze_final(&mut self, p: Lit) -> Vec<Lit> {
-        let mut out = Vec::new();
-        if self.decision_level() == 0 {
-            return out;
+    /// Resets the `seen` marks of every variable in `analyze_toclear`.
+    fn clear_seen(&mut self) {
+        for &v in &self.analyze_toclear {
+            self.seen[v.index()] = SEEN_UNDEF;
         }
-        let mut seen = vec![false; self.assigns.len()];
-        seen[p.var().index()] = true;
+        self.analyze_toclear.clear();
+    }
+
+    /// Collects into `conflict_assumptions` the assumptions that imply `p`
+    /// (used when an assumption is found already false): walks reasons
+    /// backwards from the trail, gathering decision literals.
+    fn analyze_final(&mut self, p: Lit) {
+        self.conflict_assumptions.clear();
+        if self.decision_level() == 0 {
+            return;
+        }
+        self.seen[p.var().index()] = SEEN_SOURCE;
         let start = self.trail_lim[0];
         for i in (start..self.trail.len()).rev() {
             let q = self.trail[i];
-            if !seen[q.var().index()] {
+            if self.seen[q.var().index()] == SEEN_UNDEF {
                 continue;
             }
             let reason = self.reason[q.var().index()];
             if reason == NO_REASON {
-                out.push(q);
+                self.conflict_assumptions.push(q);
             } else {
                 let n = self.db.size(reason);
                 for k in 1..n {
                     let r = self.db.lit(reason, k);
                     if self.level[r.var().index()] > 0 {
-                        seen[r.var().index()] = true;
+                        self.seen[r.var().index()] = SEEN_SOURCE;
                     }
                 }
             }
+            // Marks only go to earlier trail positions, so this one is
+            // not read again.
+            self.seen[q.var().index()] = SEEN_UNDEF;
         }
-        out
+        // `p` itself may be a level-0 literal, outside the walk.
+        self.seen[p.var().index()] = SEEN_UNDEF;
     }
 
-    /// Checks whether `l` is redundant in the learnt clause: every literal in
-    /// its reason (transitively) is already marked seen or at level 0.
-    fn lit_redundant(&mut self, l: Lit) -> bool {
+    /// One bit per decision level modulo 32: the OR over a clause's
+    /// literals over-approximates the set of levels the clause spans.
+    #[inline]
+    fn abstract_level(&self, v: Var) -> u32 {
+        1 << (self.level[v.index()] & 31)
+    }
+
+    /// Whether `p`, a learnt-clause literal with a reason, is implied by
+    /// the clause's other literals: a depth-first search over reasons in
+    /// which every path must end at a clause literal or at level 0.
+    ///
+    /// Results are memoised in `seen` until `analyze` ends. A variable
+    /// whose search succeeded is `SEEN_REMOVABLE`; a variable on a path
+    /// that reached a decision outside the clause is `SEEN_FAILED`. So no
+    /// sibling literal repeats either search. A variable implied at a
+    /// level the clause does not span (per `abstract_levels`) fails at
+    /// once: every literal implied at level L has a reason literal at
+    /// level L, so its chain runs back to the level-L decision, which the
+    /// clause does not contain.
+    fn lit_redundant(&mut self, p: Lit, abstract_levels: u32) -> bool {
+        debug_assert_eq!(self.seen[p.var().index()], SEEN_SOURCE);
+        let mut p = p;
+        let mut reason = self.reason[p.var().index()];
+        debug_assert_ne!(reason, NO_REASON);
+        let mut i = 1;
         self.analyze_stack.clear();
-        self.analyze_stack.push(l);
-        let mut newly_seen: Vec<Var> = Vec::new();
-        while let Some(q) = self.analyze_stack.pop() {
-            let reason = self.reason[q.var().index()];
-            debug_assert_ne!(reason, NO_REASON);
-            let nlits = self.db.size(reason);
-            for k in 1..nlits {
-                let r = self.db.lit(reason, k);
-                let v = r.var();
-                if self.seen[v.index()] || self.level[v.index()] == 0 {
+        loop {
+            if i < self.db.size(reason) {
+                // Check the `i`-th antecedent of `p`.
+                let l = self.db.lit(reason, i);
+                let v = l.var();
+                let mark = self.seen[v.index()];
+                if self.level[v.index()] == 0 || mark == SEEN_SOURCE || mark == SEEN_REMOVABLE {
+                    i += 1;
                     continue;
                 }
-                if self.reason[v.index()] == NO_REASON {
-                    // Hit a decision not in the clause: not redundant.
-                    for nv in newly_seen {
-                        self.seen[nv.index()] = false;
+                if mark == SEEN_FAILED
+                    || self.reason[v.index()] == NO_REASON
+                    || self.abstract_level(v) & abstract_levels == 0
+                {
+                    // `p` and every literal on the path to it fail.
+                    self.analyze_stack.push((0, p));
+                    for k in 0..self.analyze_stack.len() {
+                        let q = self.analyze_stack[k].1.var();
+                        if self.seen[q.index()] == SEEN_UNDEF {
+                            self.seen[q.index()] = SEEN_FAILED;
+                            self.analyze_toclear.push(q);
+                        }
                     }
                     return false;
                 }
-                self.seen[v.index()] = true;
-                newly_seen.push(v);
-                self.analyze_stack.push(r);
+                // Descend into `l`, resuming `p` at the next antecedent.
+                self.analyze_stack.push((i + 1, p));
+                p = l;
+                reason = self.reason[v.index()];
+                i = 1;
+            } else {
+                // Every antecedent of `p` is implied: so is `p`.
+                if self.seen[p.var().index()] == SEEN_UNDEF {
+                    self.seen[p.var().index()] = SEEN_REMOVABLE;
+                    self.analyze_toclear.push(p.var());
+                }
+                match self.analyze_stack.pop() {
+                    None => return true,
+                    Some((next, parent)) => {
+                        i = next;
+                        p = parent;
+                        reason = self.reason[p.var().index()];
+                    }
+                }
             }
         }
-        // Keep the transitive marks so sibling checks can reuse them, but
-        // remember to clear them at the end of analyze().
-        self.analyze_clear.extend(newly_seen);
-        true
     }
 
-    fn learn(&mut self, learnt: Vec<Lit>, lbd: u32) {
+    /// Stores the clause left in `self.learnt` by `analyze` and asserts
+    /// its first literal.
+    fn learn(&mut self, lbd: u32) {
+        let learnt = std::mem::take(&mut self.learnt);
         debug_assert!(!learnt.is_empty());
-        self.proof_add(&learnt.clone());
+        self.proof_add(&learnt);
         let asserting = learnt[0];
         if learnt.len() == 1 {
             self.enqueue(asserting, NO_REASON);
@@ -1069,6 +1169,7 @@ impl Solver {
             self.attach(cref);
             self.enqueue(asserting, cref);
         }
+        self.learnt = learnt;
     }
 
     pub(crate) fn backtrack_to(&mut self, level: u32) {
@@ -1080,7 +1181,8 @@ impl Solver {
             let l = self.trail[i];
             let v = l.var();
             self.phase[v.index()] = l.is_positive();
-            self.assigns[v.index()] = LBool::Undef;
+            self.vals[l.index()] = LBool::Undef;
+            self.vals[(!l).index()] = LBool::Undef;
             self.reason[v.index()] = NO_REASON;
             self.heap.insert(v, &self.activity);
         }
@@ -1091,7 +1193,7 @@ impl Solver {
 
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.heap.pop(&self.activity) {
-            if self.assigns[v.index()] == LBool::Undef {
+            if self.value(v.positive()) == LBool::Undef {
                 return Some(v);
             }
         }
@@ -1137,8 +1239,8 @@ impl Solver {
         if self.db.size(cref) == 0 {
             return false;
         }
-        let v = self.db.lit(cref, 0).var();
-        self.reason[v.index()] == cref && self.assigns[v.index()].is_assigned()
+        let first = self.db.lit(cref, 0);
+        self.reason[first.var().index()] == cref && self.value(first).is_assigned()
     }
 
     /// Removes the worst half of learnt clauses (by LBD then activity),
@@ -1424,6 +1526,31 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
         assert_eq!(s.check_proof(), None);
         assert!(s.input_clauses().is_empty());
+    }
+
+    #[test]
+    fn check_proof_stops_on_a_raised_cancel_token() {
+        // PHP(4,3), with proof logging on before the clauses go in.
+        let mut s = Solver::new();
+        s.enable_proof();
+        let grid: Vec<Vec<Var>> = (0..4).map(|_| nvars(&mut s, 3)).collect();
+        for row in &grid {
+            s.add_clause(row.iter().map(|v| v.positive()));
+        }
+        for h in 0..3 {
+            for p1 in 0..4 {
+                for p2 in p1 + 1..4 {
+                    s.add_clause([grid[p1][h].negative(), grid[p2][h].negative()]);
+                }
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let token = CancelToken::new();
+        token.cancel();
+        s.set_cancel_token(Some(token.clone()));
+        assert_eq!(s.check_proof(), None, "a raised token stops the replay");
+        token.reset();
+        assert_eq!(s.check_proof(), Some(true));
     }
 
     #[test]
@@ -1792,5 +1919,83 @@ mod tests {
         );
         assert_eq!(s.solve_with_assumptions(&[vs[1].positive()]), SolveResult::Sat);
         assert_eq!(s.model_value(vs[5]), Some(true));
+    }
+
+    /// The O(1) live-learnt count against a walk of the learnt list and
+    /// of the whole arena.
+    fn assert_learnt_count(s: &Solver, when: &str) {
+        let live_learnt = |c: &ClauseRef| !s.db.is_removed(*c) && s.db.learnt(*c);
+        let by_list = s.db.learnts.iter().filter(|c| live_learnt(c)).count();
+        let by_arena = s.db.crefs().iter().filter(|c| live_learnt(c)).count();
+        assert_eq!(s.db.num_learnts(), by_list, "learnt count vs learnt list {when}");
+        assert_eq!(s.db.num_learnts(), by_arena, "learnt count vs arena {when}");
+    }
+
+    #[test]
+    fn learnt_count_tracks_reduce_db_and_compaction() {
+        let mut config = Config::default();
+        config.first_reduce = 20;
+        config.reduce_increment = 20;
+        let mut s = Solver::with_config(config);
+        let holes = 6;
+        let grid: Vec<Vec<Var>> = (0..=holes).map(|_| nvars(&mut s, holes)).collect();
+        for row in &grid {
+            s.add_clause(row.iter().map(|v| v.positive()));
+        }
+        for h in 0..holes {
+            for p1 in 0..=holes {
+                for p2 in p1 + 1..=holes {
+                    s.add_clause([grid[p1][h].negative(), grid[p2][h].negative()]);
+                }
+            }
+        }
+        s.set_conflict_budget(Some(300));
+        assert_eq!(s.solve(), SolveResult::Unknown(Interrupt::ConflictBudget));
+        assert!(s.stats().reductions > 0 && s.stats().gc_runs > 0);
+        assert!(s.db.num_learnts() > 0);
+        assert_learnt_count(&s, "after search with reductions");
+        let reductions = s.stats().reductions;
+        s.reduce_db();
+        assert_eq!(s.stats().reductions, reductions + 1);
+        assert_learnt_count(&s, "after reduce_db");
+        s.garbage_collect();
+        assert_eq!(s.db.wasted_words(), 0);
+        assert_learnt_count(&s, "after a compacting collection");
+        s.set_conflict_budget(None);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_learnt_count(&s, "after the final answer");
+    }
+
+    #[test]
+    fn learnt_count_tracks_simplify_and_promotion() {
+        let mut s = Solver::new();
+        let v = nvars(&mut s, 4);
+        s.add_clause([v[0].positive(), v[1].positive(), v[3].positive()]);
+        let learnt = s.db.alloc(&[v[0].positive(), v[1].positive(), v[2].positive()], true, 2);
+        s.attach(learnt);
+        assert_learnt_count(&s, "after alloc");
+        // A root-level unit falsifies one literal: simplify replaces the
+        // learnt clause with a strengthened learnt copy.
+        s.add_clause([v[2].negative()]);
+        assert!(s.simplify());
+        let live: Vec<ClauseRef> =
+            s.db.crefs().into_iter().filter(|&c| !s.db.is_removed(c)).collect();
+        let strengthened = live
+            .iter()
+            .copied()
+            .find(|&c| s.db.learnt(c))
+            .expect("strengthened clause stays learnt");
+        assert_eq!(s.db.size(strengthened), 2);
+        assert_eq!(s.db.num_learnts(), 1);
+        assert_learnt_count(&s, "after simplify strengthened a learnt clause");
+        // The learnt (x0 | x1) subsumes the original (x0 | x1 | x3):
+        // preprocessing deletes the original and promotes the subsumer.
+        for &x in &v {
+            s.set_frozen(x, true);
+        }
+        assert!(s.preprocess());
+        assert_eq!(s.stats().subsumed_clauses, 1);
+        assert_eq!(s.db.num_learnts(), 0);
+        assert_learnt_count(&s, "after preprocessing promoted a learnt clause");
     }
 }

@@ -32,6 +32,29 @@ echo "==> encode: work counters of all 49 benchmarks x {SD, EIJ, HYBRID} vs resu
 # Tier-1 checks only the light benchmarks; this checks all 147 rows.
 cargo test -q --release --test encode_counts -- --include-ignored
 
+echo "==> sat: release sufsat-sat search counters on tests/cnf vs results/sat_trajectories.csv"
+# Tier-1 (tests/sat_trajectories.rs) checks these rows in the test build;
+# this holds the release binary to the same trajectories. The
+# failed-assumption column does not apply to a plain DIMACS solve.
+for f in tests/cnf/*.cnf; do
+    name="cnf/$(basename "$f" .cnf)"
+    want=$(grep "^${name}," results/sat_trajectories.csv | cut -d, -f1-9)
+    # Exit status 10/20 reports the verdict; the `s` line is checked instead.
+    got=$({ ./target/release/sufsat_sat "$f" || true; } | awk -v name="$name" '
+        /^s / { v = $2 == "SATISFIABLE" ? "sat" : $2 == "UNSATISFIABLE" ? "unsat" : "unknown" }
+        /^c conflicts=/ { for (i = 2; i <= NF; i++) { split($i, kv, "="); c[kv[1]] = kv[2] } }
+        END {
+            printf "%s,%s,%s,%s,%s,%s,%s,%s,%s\n", name, v, c["conflicts"], c["decisions"],
+                c["propagations"], c["learnt_literals"], c["restarts"], c["reductions"], c["gc_runs"]
+        }')
+    if [ -z "$want" ] || [ "$got" != "$want" ]; then
+        echo "search trajectory moved on $name" >&2
+        echo "  recorded: $want" >&2
+        echo "  release:  $got" >&2
+        exit 1
+    fi
+done
+
 echo "==> incremental: push/pop state machine vs from-scratch decide"
 cargo test -q --release --test incremental_session
 
